@@ -4,8 +4,9 @@ Tests whether the expected Bernoulli f-divergence between a black-box
 classifier and the true conditional label law exceeds a tolerance, from
 held-out data alone.  Provides a fixed-feature (distribution-free) variant,
 a known-feature-distribution variant, one-sided confidence bounds, and a
-dataset-level randomization test of exact fit, all backed by a
-conditional-gradient solver over f-divergence balls.
+dataset-level randomization test of exact fit, all backed by an
+exact Lagrangian-dual solver over f-divergence balls that certifies each
+decision with a lower and an upper bound on the statistic.
 """
 
 __version__ = "0.1.0"
@@ -19,9 +20,7 @@ from .divergence import (
     bernoulli_divergence,
     bernoulli_divergence_many,
     discrete_divergence_to_uniform,
-    f_conjugate,
     f_eval,
-    f_subgrad_inverse,
     get_divergence,
 )
 from .experiments import (
@@ -72,13 +71,11 @@ from .scores import (
     sigmoid,
 )
 from .solver import (
-    SimplexPoint,
     SolverConfig,
     SolverError,
     StatVariant,
     UStatResult,
     gradient,
-    lmo_fdiv_ball,
     objective,
     solve_u_stat,
     u_stat,

@@ -1,11 +1,13 @@
-"""f-divergence kinds with conjugate duals and subgradient inverses.
+"""f-divergence generators with their first two derivatives.
 
-Each divergence bundles the generator f (convex on [0, inf), f(1) = 0), its
-conjugate dual f*(s) = sup_{t>=0} (st - f(t)) together with the effective
-domain of f*, and an inverse of the subdifferential that recovers t from
-v in df(t).  The linear-minimization oracle in the solver relies on exact
-conjugates, so custom divergences must supply all three callables; there is
-no numeric-differentiation fallback.
+Each divergence bundles the generator f (convex on [0, inf), f(1) = 0) with
+f' and f''.  The U_tau solver minimizes a per-bin Lagrangian by Newton steps
+on h'(p) + mu + lam f'(L p) = 0, so a custom divergence supplies f, f' and
+f'', with f twice differentiable on (0, inf).  f'(0) may be -inf (KL,
+Hellinger) or finite, in which case the per-bin minimum can sit at p = 0.
+Total variation is the one built-in kind with a kink: the solver treats it
+in closed form, and its f' returns the subgradients -1/2, 0 (at t = 1) and
+1/2.
 """
 
 from __future__ import annotations
@@ -25,34 +27,27 @@ __all__ = [
     "DIVERGENCES",
     "get_divergence",
     "f_eval",
-    "f_conjugate",
-    "f_subgrad_inverse",
     "bernoulli_divergence",
     "bernoulli_divergence_many",
     "discrete_divergence_to_uniform",
 ]
 
 _SIMPLEX_TOL = 1e-9
-# exp() overflows above ~709; cap exponents so inverse maps stay finite.
-_EXP_CAP = 700.0
 
 
 @dataclass(frozen=True)
 class FDivergence:
-    """A divergence generator with its convex-analysis companions.
+    """A divergence generator with its first and second derivatives.
 
     ``f`` is the generator on t >= 0 with the continuous extension at t = 0.
-    ``f_conj`` must return +inf outside its effective domain; ``conj_sup``
-    is the supremum of that domain (np.inf when f* is finite everywhere).
-    ``f_subgrad_inv(v)`` returns some t >= 0 with v in df(t), clamping v to
-    the closure of range(df) when needed (documented, not an error).
+    ``f_prime`` and ``f_second`` are f' and f'' on t > 0, vectorized;
+    ``f_prime(0)`` is the right limit of f' (possibly -inf).
     """
 
     kind: str
     f: Callable[[np.ndarray], np.ndarray]
-    f_conj: Callable[[np.ndarray], np.ndarray]
-    f_subgrad_inv: Callable[[np.ndarray], np.ndarray]
-    conj_sup: float = np.inf
+    f_prime: Callable[[np.ndarray], np.ndarray]
+    f_second: Callable[[np.ndarray], np.ndarray]
     # lim_{t->inf} f(t)/t; used for the b -> 0 continuous extension of the
     # Bernoulli form.  None means "estimate numerically" (custom kinds).
     recession_slope: Optional[float] = None
@@ -87,74 +82,46 @@ def _kl_f(t):
     return np.where(t > 0, safe * np.log(safe), 0.0)
 
 
-def _kl_conj(s):
-    s = np.asarray(s, dtype=float)
-    return np.exp(np.minimum(s - 1.0, _EXP_CAP))
+def _kl_prime(t):
+    with np.errstate(divide="ignore"):
+        return np.log(np.asarray(t, dtype=float)) + 1.0
 
 
-def _kl_subgrad_inv(v):
-    # f'(t) = log t + 1, range all of R
-    v = np.asarray(v, dtype=float)
-    return np.exp(np.minimum(v - 1.0, _EXP_CAP))
+def _kl_second(t):
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.asarray(t, dtype=float)
 
 
 def _tv_f(t):
     return 0.5 * np.abs(np.asarray(t, dtype=float) - 1.0)
 
 
-def _tv_conj(s):
-    s = np.asarray(s, dtype=float)
-    out = np.maximum(s, -0.5)
-    return np.where(s <= 0.5, out, np.inf)
+def _tv_prime(t):
+    return 0.5 * np.sign(np.asarray(t, dtype=float) - 1.0)
 
 
-def _tv_subgrad_inv(v):
-    # df(1) = [-1/2, 1/2]; the kink point represents every attainable v.
-    return np.ones_like(np.asarray(v, dtype=float))
+def _tv_second(t):
+    return np.zeros_like(np.asarray(t, dtype=float))
 
 
 def _hellinger_f(t):
     return (np.sqrt(np.asarray(t, dtype=float)) - 1.0) ** 2
 
 
-def _hellinger_conj(s):
-    s = np.asarray(s, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(s < 1.0, s / (1.0 - s), np.inf)
-    return out
+def _hellinger_prime(t):
+    with np.errstate(divide="ignore"):
+        return 1.0 - 1.0 / np.sqrt(np.asarray(t, dtype=float))
 
 
-def _hellinger_subgrad_inv(v):
-    # f'(t) = 1 - 1/sqrt(t), range (-inf, 1); clamp at the upper boundary.
-    v = np.minimum(np.asarray(v, dtype=float), 1.0 - 1e-12)
-    return (1.0 - v) ** -2
+def _hellinger_second(t):
+    with np.errstate(divide="ignore"):
+        return 0.5 * np.asarray(t, dtype=float) ** -1.5
 
 
-KL = FDivergence(
-    kind="kl",
-    f=_kl_f,
-    f_conj=_kl_conj,
-    f_subgrad_inv=_kl_subgrad_inv,
-    conj_sup=np.inf,
-    recession_slope=math.inf,
-)
-
-TV = FDivergence(
-    kind="tv",
-    f=_tv_f,
-    f_conj=_tv_conj,
-    f_subgrad_inv=_tv_subgrad_inv,
-    conj_sup=0.5,
-    recession_slope=0.5,
-)
-
+KL = FDivergence("kl", _kl_f, _kl_prime, _kl_second, recession_slope=math.inf)
+TV = FDivergence("tv", _tv_f, _tv_prime, _tv_second, recession_slope=0.5)
 HELLINGER = FDivergence(
-    kind="hellinger",
-    f=_hellinger_f,
-    f_conj=_hellinger_conj,
-    f_subgrad_inv=_hellinger_subgrad_inv,
-    conj_sup=1.0,
-    recession_slope=1.0,
+    "hellinger", _hellinger_f, _hellinger_prime, _hellinger_second, recession_slope=1.0
 )
 
 DIVERGENCES = {"kl": KL, "tv": TV, "hellinger": HELLINGER}
@@ -172,19 +139,13 @@ def get_divergence(token: str) -> FDivergence:
 
 def custom_divergence(
     f: Callable,
-    f_conj: Callable,
-    f_subgrad_inv: Callable,
-    conj_sup: float = np.inf,
+    f_prime: Callable,
+    f_second: Callable,
     recession_slope: Optional[float] = None,
 ) -> FDivergence:
-    """Build a custom divergence; all three callables are required."""
+    """Build a custom divergence from f, f' and f'' (twice differentiable on (0, inf))."""
     div = FDivergence(
-        kind="custom",
-        f=f,
-        f_conj=f_conj,
-        f_subgrad_inv=f_subgrad_inv,
-        conj_sup=conj_sup,
-        recession_slope=recession_slope,
+        kind="custom", f=f, f_prime=f_prime, f_second=f_second, recession_slope=recession_slope
     )
     div.validate()
     return div
@@ -197,18 +158,6 @@ def f_eval(div: FDivergence, t) -> float:
         raise ValueError("f is defined on t >= 0")
     out = div.f(t_arr)
     return float(out) if np.ndim(t) == 0 else out
-
-
-def f_conjugate(div: FDivergence, s) -> float:
-    """Evaluate f*(s) = sup_{t>=0}(st - f(t)); +inf outside the effective domain."""
-    out = div.f_conj(np.asarray(s, dtype=float))
-    return float(out) if np.ndim(s) == 0 else out
-
-
-def f_subgrad_inverse(div: FDivergence, v) -> float:
-    """Return q >= 0 with v in df(q), clamping v to the attainable range."""
-    out = div.f_subgrad_inv(np.asarray(v, dtype=float))
-    return float(out) if np.ndim(v) == 0 else out
 
 
 def _kl_bern(a: float, b: float) -> float:

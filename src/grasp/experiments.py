@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .divergence import FDivergence, bernoulli_divergence_many, get_divergence
-from .inference import chi2_cdf, decide, threshold
+from .inference import chi2_cdf, threshold
 from .sampling import (
     BinCounts,
     EvalSample,
@@ -32,7 +32,7 @@ from .sampling import (
     grasp_counts_simple,
 )
 from .scores import ProbModel, ScoreFn, fit_linear_score, sigmoid
-from .solver import SolverConfig, StatVariant, solve_u_stat, u_stat_exceeds
+from .solver import SolverConfig, StatVariant, u_stat_exceeds
 
 __all__ = [
     "ExperimentSpec",
@@ -226,11 +226,10 @@ def _decide_trial(
     spec: ExperimentSpec, counts: BinCounts, tau: float, variant: StatVariant, alphas
 ) -> List[bool]:
     div = get_divergence(spec.divergence)
-    if len(alphas) == 1:
-        thr = threshold(variant, spec.L, alphas[0])
-        return [u_stat_exceeds(variant, counts, tau, thr, div, spec.solver)]
-    value = solve_u_stat(variant, counts, tau, div, spec.solver).value
-    return [decide(variant, value, spec.L, a).reject for a in alphas]
+    return [
+        u_stat_exceeds(variant, counts, tau, threshold(variant, spec.L, a), div, spec.solver)
+        for a in alphas
+    ]
 
 
 def _run_table(spec: ExperimentSpec) -> List[ResultRow]:

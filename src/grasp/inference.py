@@ -4,7 +4,8 @@ The finite-sample rule rejects when U_tau >= L + sqrt(2L/alpha) and is valid
 at every sample size; the asymptotic rule rejects when U_tau >= the
 (1-alpha) chi-square quantile with L-1 degrees of freedom.  Chi-square
 numerics are computed from the regularized lower incomplete gamma function
-(series for x < k+1, continued fraction otherwise).
+(series for x < k+1, continued fraction otherwise); the upper tail is
+computed directly, so p-values keep their relative precision far out.
 """
 
 from __future__ import annotations
@@ -90,6 +91,13 @@ def _reg_lower_gamma(a: float, x: float) -> float:
     return min(max(1.0 - _gamma_cont_fraction(a, x), 0.0), 1.0)
 
 
+def _reg_upper_gamma(a: float, x: float) -> float:
+    """Q(a, x) = 1 - P(a, x), from the continued fraction where it is small."""
+    if x < a + 1.0:
+        return 1.0 - _reg_lower_gamma(a, x)
+    return min(_gamma_cont_fraction(a, x), 1.0)
+
+
 def chi2_cdf(x: float, k: int) -> float:
     """CDF of the chi-square distribution with k degrees of freedom."""
     if k < 1:
@@ -141,6 +149,8 @@ def asym_threshold(L: int, alpha: float) -> float:
 
 
 def threshold(variant: StatVariant, L: int, alpha: float) -> float:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly inside (0, 1)")
     if StatVariant(variant) is StatVariant.FINITE:
         return finite_threshold(L, alpha)
     return asym_threshold(L, alpha)
@@ -148,13 +158,7 @@ def threshold(variant: StatVariant, L: int, alpha: float) -> float:
 
 def decide(variant: StatVariant, u: float, L: int, alpha: float) -> Decision:
     """Reject iff u >= the variant's threshold (ties reject)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
-    variant = StatVariant(variant)
-    if variant is StatVariant.FINITE:
-        thr = finite_threshold(L, alpha)
-    else:
-        thr = asym_threshold(L, alpha)
+    thr = threshold(variant, L, alpha)
     return Decision(threshold=thr, reject=u >= thr)
 
 
@@ -173,7 +177,7 @@ def pvalue_asym(u: float, L: int) -> float:
         raise ValueError("u must be nonnegative")
     if L < 2:
         raise ValueError("asymptotic p-value needs L >= 2")
-    return 1.0 - chi2_cdf(u, L - 1)
+    return _reg_upper_gamma((L - 1) / 2.0, u / 2.0)
 
 
 def pvalue(variant: StatVariant, u: float, L: int) -> float:
@@ -251,14 +255,23 @@ def evaluate_counts(
     cfg: Optional[SolverConfig] = None,
     seed: Optional[int] = None,
 ) -> TestOutcome:
-    """Solve the test statistic for the counts and package the decision."""
+    """Solve the test statistic for the counts and package the decision.
+
+    The decision follows the solver's certified bounds: reject iff the lower
+    bound reaches the threshold, accept iff the reported statistic (an upper
+    bound) stays below it.  A threshold inside the final gap is settled by
+    refining the bounds; SolverError if max_iters cannot.
+    """
     variant = StatVariant(variant)
+    thr = threshold(variant, counts.L, alpha)
     result = solve_u_stat(variant, counts, tau, div, cfg)
-    dec = decide(variant, result.value, counts.L, alpha)
+    if result.decision(thr) is None:
+        result = solve_u_stat(variant, counts, tau, div, cfg, certify_threshold=thr)
+    reject = result.certified(thr)
     return TestOutcome(
         statistic=result.value,
-        threshold=dec.threshold,
-        reject=dec.reject,
+        threshold=thr,
+        reject=reject,
         p_value=pvalue(variant, result.value, counts.L),
         variant=variant.value,
         tau=tau,
@@ -286,8 +299,6 @@ def ci_lower(
     valid.  Returns 0 when the rule does not reject even at tau = 0.
     """
     variant = StatVariant(variant)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
     thr = threshold(variant, counts.L, alpha)
     if not u_stat_exceeds(variant, counts, 0.0, thr, div, cfg):
         return ConfidenceBound(0.0, alpha, variant.value)

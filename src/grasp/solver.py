@@ -1,23 +1,32 @@
 """Minimization of chi-square-type objectives over f-divergence balls.
 
-Computes U_tau(V) = min_p (1/n) sum_l (V_l - n p_l)^2 / denom_l over
-probability vectors p with (1/L) sum_l f(L p_l) <= tau, where denom_l is
-p_l + 1/L for the finite-sample variant and p_l for the asymptotic one.
-The minimization runs conditional-gradient (Frank-Wolfe) steps; the step
-size comes from an exact line search on the segment toward the oracle
-point, falling back to the open-loop 1/(t+2) schedule whenever the search
-cannot improve the iterate.  Each step calls a linear-minimization oracle
-over the ball.
+Computes U_tau(V) = min_p sum_l h_l(p_l) over probability vectors p with
+(1/L) sum_l f(L p_l) <= tau, where h_l(p) = (V_l - n p)^2 / (n (p + c)),
+c = 1/L for the finite-sample variant and c = 0 for the asymptotic one.
 
-The LMO follows the two-variable dual min_{lam>0, eta} [lam*tau + eta +
-(lam/L) sum_l f*((-eta - x_l)/lam)], whose stationarity recovers the
-density ratios r_l = L q_l from the subgradient inverse of f at
-(-x_l - eta)/lam.  KL admits a closed-form inner solve (a softmax family
-indexed by lam), Hellinger a monotone scalar root, and total variation an
-exact direct solution (its polyhedral conjugate makes the generic dual
-recovery degenerate at kinks).  Custom divergences take the generic nested
-scalar path.  Every oracle output is renormalized onto the simplex and, if
-numeric noise pushed it outside the ball, contracted toward uniform.
+The program is separable, so it is solved through its Lagrangian dual
+(Patriksson, "A survey on the continuous nonlinear resource allocation
+problem", EJOR 185, 2008).  For a ball multiplier lam > 0 and a simplex
+multiplier mu, each bin minimizes h_l(p) + mu p + (lam/L) f(L p) over
+p in [0, 1] on its own.  Its stationarity condition is
+h_l'(p) + mu + lam f'(L p) = 0 with h_l'(p) = n - a_l^2 / (n (p + c)^2)
+and a_l = V_l + n c.  For a differentiable generator (KL, Hellinger, custom)
+vectorized safeguarded Newton steps in log p solve it; for total variation
+it has a closed form: h_l' inverted at -mu + lam/2 left of the kink, at
+-mu - lam/2 right of it, or the kink p = 1/L itself.  For fixed lam, mu is
+the root of sum_l p_l = 1, and lam is the root of (1/L) sum_l f(L p_l) =
+tau.  Both maps are monotone, and both roots are found by safeguarded
+Newton steps whose derivatives come from implicit differentiation through
+the per-bin solves.
+
+Every lam iterate certifies two bounds on U_tau.  The dual value g(lam, mu)
+is a lower bound for any multipliers (weak duality; Boyd & Vandenberghe,
+Convex Optimization, section 5.2).  Each per-bin minimum in it is replaced
+by the tangent bound at the computed point, so an inexact per-bin solve
+cannot overstate it.  The objective at a feasible point -- the per-bin
+solution normalized onto the simplex and contracted toward uniform into the
+ball -- is an upper bound.  Decisions against a threshold follow these
+bounds only.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -34,20 +43,23 @@ from .sampling import BinCounts
 
 __all__ = [
     "StatVariant",
-    "SimplexPoint",
     "SolverConfig",
     "SolverError",
     "UStatResult",
     "objective",
     "gradient",
-    "lmo_fdiv_ball",
     "u_stat",
     "u_stat_exceeds",
     "solve_u_stat",
 ]
 
-_FEAS_TOL = 1e-6
-_SIMPLEX_TOL = 1e-9
+_U_MIN = -700.0  # floor on log p: keeps f'(L p) and f''(L p) finite
+_P_MIN = math.exp(_U_MIN)
+_BIN_STEPS = 100
+_MU_STEPS = 200
+_MU_TOL = 1e-13  # on |sum p - 1|
+_LAM_STEP = 4.0  # largest log-lam step while the root is not bracketed
+_EPS = np.finfo(float).eps
 
 
 class StatVariant(str, Enum):
@@ -56,45 +68,54 @@ class StatVariant(str, Enum):
 
 
 class SolverError(RuntimeError):
-    """Raised when an oracle cannot produce a usable point."""
-
-
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A probability vector; nonnegative, summing to one within 1e-9."""
-
-    p: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        object.__setattr__(self, "p", p)
-        if p.ndim != 1 or p.size < 1:
-            raise ValueError("p must be a 1-D vector")
-        if np.any(p < -_SIMPLEX_TOL) or abs(float(p.sum()) - 1.0) > _SIMPLEX_TOL:
-            raise ValueError("p is not on the probability simplex")
+    """Raised when the solver cannot certify a decision."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 500
     gap_tol: float = 1e-6
-    dual_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.gap_tol <= 0 or self.dual_tol <= 0:
-            raise ValueError("max_iters >= 1 and positive tolerances required")
+        if self.max_iters < 1 or self.gap_tol <= 0:
+            raise ValueError("max_iters >= 1 and a positive gap_tol required")
 
 
 @dataclass(frozen=True)
 class UStatResult:
-    """Solve outcome plus diagnostics (iterations run, final duality gap)."""
+    """Solve outcome: lower <= U_tau <= value, where value is the objective
+    at the feasible point ``minimizer``; gap = value - lower.
+
+    ``converged`` says the solve met its stopping rule: gap <= gap_tol, or,
+    with a certify threshold, bounds that decide it.
+    """
 
     value: float
+    lower: float
     minimizer: np.ndarray
     iterations: int
     gap: float
     converged: bool
-    decided: Optional[bool] = None
+
+    def decision(self, threshold: float) -> Optional[bool]:
+        """True if U_tau >= threshold is certified, False if U_tau < threshold
+        is, None while the bounds straddle the threshold."""
+        if self.lower >= threshold:
+            return True
+        if self.value < threshold:
+            return False
+        return None
+
+    def certified(self, threshold: float) -> bool:
+        """The certified answer to U_tau >= threshold; SolverError while the
+        bounds straddle the threshold."""
+        decided = self.decision(threshold)
+        if decided is None:
+            raise SolverError(
+                f"U_tau bounds [{self.lower:.10g}, {self.value:.10g}] still straddle "
+                f"the threshold {threshold:.10g} after {self.iterations} iterations"
+            )
+        return decided
 
 
 def _counts(V) -> Tuple[np.ndarray, int, int]:
@@ -104,19 +125,14 @@ def _counts(V) -> Tuple[np.ndarray, int, int]:
     return arr, int(round(float(arr.sum()))), arr.size
 
 
-def _point(p) -> np.ndarray:
-    if isinstance(p, SimplexPoint):
-        return p.p
-    return np.asarray(p, dtype=float)
+def _offset(variant: StatVariant, L: int) -> float:
+    return 1.0 / L if StatVariant(variant) is StatVariant.FINITE else 0.0
 
 
-def objective(variant: StatVariant, V, p) -> float:
-    """The variant's chi-square-type objective at p (extended-real)."""
-    v, n, L = _counts(V)
-    p = _point(p)
+def _objective(v: np.ndarray, n: int, c: float, p: np.ndarray) -> float:
     dev2 = (v - n * p) ** 2
-    if StatVariant(variant) is StatVariant.FINITE:
-        return float(np.sum(dev2 / (p + 1.0 / L)) / n)
+    if c > 0.0:
+        return float(np.sum(dev2 / (p + c)) / n)
     zero = p <= 0.0
     if np.any(zero & (v > 0.0)):
         return math.inf
@@ -124,10 +140,16 @@ def objective(variant: StatVariant, V, p) -> float:
     return float(terms.sum() / n)
 
 
+def objective(variant: StatVariant, V, p) -> float:
+    """The variant's chi-square-type objective at p (extended-real)."""
+    v, n, L = _counts(V)
+    return _objective(v, n, _offset(variant, L), np.asarray(p, dtype=float))
+
+
 def gradient(variant: StatVariant, V, p) -> np.ndarray:
     """Analytic gradient of the variant objective; asym needs interior p."""
     v, n, L = _counts(V)
-    p = _point(p)
+    p = np.asarray(p, dtype=float)
     if StatVariant(variant) is StatVariant.ASYM:
         if np.any(p <= 0.0):
             raise ValueError("asym gradient undefined on the simplex boundary")
@@ -137,259 +159,171 @@ def gradient(variant: StatVariant, V, p) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Linear-minimization oracles over {q simplex : (1/L) sum f(L q_l) <= tau}
+# The Lagrangian, bin by bin
 # ---------------------------------------------------------------------------
 
 
-def _repair(q: np.ndarray, tau: float, div: FDivergence) -> np.ndarray:
-    """Project oracle output back to the simplex and inside the ball.
+class _Lagrangian:
+    """sum_l [h_l(p_l) + mu p_l + (lam/L) f(L p_l)] - mu - lam tau for one
+    instance, with the per-bin minimizers over p_l in [0, 1]."""
 
-    Renormalizes, then (rarely) contracts toward uniform by bisection when
-    dual round-off leaves the divergence constraint violated by > 1e-6.
-    """
-    L = q.size
-    q = np.maximum(q, 0.0)
-    total = float(q.sum())
-    if not np.isfinite(total) or total <= 0.0:
-        raise SolverError("oracle produced a degenerate point (sum <= 0 or non-finite)")
-    q = q / total
-    uni = np.full(L, 1.0 / L)
+    def __init__(self, v: np.ndarray, n: int, c: float, tau: float, div: FDivergence):
+        self.v, self.n, self.c, self.tau, self.div = v, n, c, tau, div
+        self.L = v.size
+        self.a = v + n * c
+        self.tv = div.kind == "tv"
+        self.kink = 1.0 / self.L
+        # h'(1/L) + lam f'(1) brackets the simplex multiplier (see solve_mu)
+        self.h_kink = self._h1(np.full(self.L, self.kink))
+        self.f_kink = float(div.f_prime(np.asarray(1.0)))
+        self.u = np.full(self.L, math.log(self.kink))  # warm start of the per-bin Newton
 
-    def dist(point: np.ndarray) -> float:
-        return float(np.sum(div.f(L * point)) / L)
+    def _h1(self, p: np.ndarray) -> np.ndarray:
+        """h_l'(p); n where a_l = 0 (asym, empty bin: h_l is linear)."""
+        pull = np.where(self.a > 0.0, self.a**2 / (self.n * (p + self.c) ** 2), 0.0)
+        return self.n - pull
 
-    if dist(q) <= tau + _FEAS_TOL:
-        return q
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if dist(uni + mid * (q - uni)) <= tau:
-            lo = mid
+    def _h2(self, p: np.ndarray) -> np.ndarray:
+        return np.where(self.a > 0.0, 2.0 * self.a**2 / (self.n * (p + self.c) ** 3), 0.0)
+
+    def distance(self, p: np.ndarray) -> float:
+        return float(np.sum(self.div.f(self.L * p)) / self.L)
+
+    def bins(self, lam: float, mu: float) -> np.ndarray:
+        return self._tv_bins(lam, mu) if self.tv else self._newton_bins(lam, mu)
+
+    def _tv_bins(self, lam: float, mu: float) -> np.ndarray:
+        left = self.h_kink + mu - 0.5 * lam > 0.0  # slope just left of the kink
+        right = self.h_kink + mu + 0.5 * lam < 0.0  # slope just right of it
+        p = np.full(self.L, self.kink)
+        p = np.where(left, np.clip(self._h1_inverse(0.5 * lam - mu), 0.0, self.kink), p)
+        return np.where(right, np.clip(self._h1_inverse(-0.5 * lam - mu), self.kink, 1.0), p)
+
+    def _h1_inverse(self, s: float) -> np.ndarray:
+        """p with h_l'(p) = s, below 0 where h_l' > s everywhere and +inf
+        where h_l' < s everywhere."""
+        p = self.a / np.sqrt(self.n * (self.n - s)) - self.c
+        return np.where(s < self.n, p, np.inf)
+
+    def _newton_bins(self, lam: float, mu: float) -> np.ndarray:
+        L, f1, f2 = self.L, self.div.f_prime, self.div.f_second
+        empty = self.a <= 0.0  # asym, V_l = 0: h_l is linear
+        log_a2n = np.log(np.where(empty, 1.0, self.a**2 / self.n))
+
+        def condition(u):
+            """A function of u = log p with the sign of the stationarity
+            condition h'(p) + mu + lam f'(L p), and its u-derivative.  Where
+            a_l > 0 it is log(n + mu + lam f'(L p)) + 2 log(p + c) -
+            log(a_l^2 / n): nearly linear in u, so Newton does not crawl
+            back from the steep far left of h_l'."""
+            p = np.exp(u)
+            b = self.n + mu + lam * f1(L * p)
+            db = lam * L * p * f2(L * p)
+            phi = np.where(b > 0.0, np.log(b) + 2.0 * np.log(p + self.c) - log_a2n, -np.inf)
+            dphi = db / b + 2.0 * p / (p + self.c)
+            return np.where(empty, b, phi), np.where(empty, db, dphi)
+
+        # the box ends settle the bins whose condition keeps one sign on [0, 1]
+        lo, hi = np.full(L, _U_MIN), np.zeros(L)
+        at_lo, at_hi = condition(lo)[0] >= 0.0, condition(hi)[0] <= 0.0
+        inside = ~(at_lo | at_hi)
+        u = np.where(at_lo, _U_MIN, np.where(at_hi, 0.0, np.clip(self.u, _U_MIN, 0.0)))
+        for _ in range(_BIN_STEPS):
+            g, dg = condition(u)
+            lo = np.where(g < 0.0, u, lo)
+            hi = np.where(g > 0.0, u, hi)
+            step = u - g / dg
+            step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+            new = np.where(inside, step, u)
+            done = np.all(np.abs(new - u) <= 1e-12)
+            u = new
+            if done:
+                break
+        self.u = u
+        return np.exp(u)
+
+    def slope(self, p: np.ndarray, lam: float, mu: float) -> np.ndarray:
+        """The element of each per-bin subdifferential nearest 0 at p."""
+        base = self._h1(p) + mu
+        if not self.tv:
+            return base + lam * self.div.f_prime(self.L * p)
+        lo, hi = base - 0.5 * lam, base + 0.5 * lam
+        return np.where(p < self.kink, lo, np.where(p > self.kink, hi, np.clip(0.0, lo, hi)))
+
+    def weights(self, p: np.ndarray, lam: float) -> np.ndarray:
+        """-dp_l/dmu: the inverse curvature of each interior bin, 0 at the box
+        ends and the TV kink, inf where the bin's minimizer is not unique."""
+        if self.tv:
+            interior = (p > 0.0) & (p < 1.0) & (p != self.kink)
+            curv = self._h2(p)
         else:
-            hi = mid
-    return uni + lo * (q - uni)
+            interior = (p > _P_MIN) & (p < 1.0)
+            curv = self._h2(p) + lam * self.L * self.div.f_second(self.L * p)
+        return np.where(interior, 1.0 / curv, 0.0)
 
+    def solve_mu(self, lam: float, mu: float) -> Tuple[float, np.ndarray]:
+        """mu with sum_l p_l(lam, mu) = 1, from the guess mu; returns (mu, p)."""
+        # at mu = -max(h'(1/L) + lam f'(1)) every bin sits at or right of
+        # 1/L, so sum p >= 1; at -min(...) every bin sits at or left of it
+        base = self.h_kink + lam * self.f_kink
+        lo, hi = -float(base.max()), -float(base.min())
+        p_lo = p_hi = None
+        mu = min(max(mu, lo), hi)
+        for _ in range(_MU_STEPS):
+            p = self.bins(lam, mu)
+            excess = float(p.sum()) - 1.0
+            if abs(excess) <= _MU_TOL:
+                return mu, p
+            if excess > 0.0:
+                lo, p_lo = mu, p
+            else:
+                hi, p_hi = mu, p
+            w = float(self.weights(p, lam).sum())
+            new = mu + excess / w if w > 0.0 else math.nan
+            if not lo < new < hi:
+                new = 0.5 * (lo + hi)
+            if new == mu or hi - lo <= 4.0 * _EPS * max(abs(lo), abs(hi), 1.0):
+                break
+            mu = new
+        # sum p jumps across the root: under TV and the asym rule an empty
+        # bin's minimizer is any point of [0, 1/L] where n + mu = lam/2.
+        # Mix the bracket ends to hit 1.
+        p_lo = self.bins(lam, lo) if p_lo is None else p_lo
+        p_hi = self.bins(lam, hi) if p_hi is None else p_hi
+        s_lo, s_hi = float(p_lo.sum()), float(p_hi.sum())
+        theta = (1.0 - s_hi) / (s_lo - s_hi) if s_lo > s_hi else 0.0
+        return 0.5 * (lo + hi), p_hi + theta * (p_lo - p_hi)
 
-def _lmo_tv(x: np.ndarray, tau: float) -> np.ndarray:
-    """Exact TV-ball oracle: move up to tau total mass from the largest-x
-    bins (each holds 1/L) onto the smallest-x bin."""
-    L = x.size
-    q = np.full(L, 1.0 / L)
-    budget = min(tau, (L - 1) / L)
-    receiver = int(np.argmin(x))
-    order = np.argsort(-x, kind="stable")
-    moved = 0.0
-    for idx in order:
-        if idx == receiver or moved >= budget:
-            continue
-        take = min(1.0 / L, budget - moved)
-        q[idx] -= take
-        q[receiver] += take
-        moved += take
-    return q
-
-
-def _lmo_kl(x: np.ndarray, tau: float, cfg: SolverConfig) -> np.ndarray:
-    """KL-ball oracle: q(lam) = softmax(-x/lam); pick lam so KL(q||uniform)
-    hits tau (the divergence is decreasing in lam)."""
-    L = x.size
-
-    def point(lam: float) -> np.ndarray:
-        z = -x / lam
-        z -= z.max()
-        q = np.exp(z)
-        return q / q.sum()
-
-    def dist(q: np.ndarray) -> float:
-        safe = np.maximum(q, 1e-300)
-        return float(np.sum(q * np.log(L * safe)))
-
-    lo, hi = 1e-8, 1e8
-    if dist(point(lo)) <= tau:
-        return point(lo)
-    if dist(point(hi)) >= tau:
-        return point(hi)
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if dist(point(mid)) > tau:
-            lo = mid
+    def distance_slope(self, p: np.ndarray, lam: float) -> Tuple[float, float]:
+        """(dD/dlam, dmu/dlam) along mu(lam), D = (1/L) sum f(L p)."""
+        w = self.weights(p, lam)
+        fp = self.div.f_prime(self.L * p)
+        free = np.isinf(w)
+        if free.any():  # the jump bins absorb any change of sum p
+            mean = float(fp[free].mean())
+            w = np.where(free, 0.0, w)
+        elif w.sum() > 0.0:
+            mean = float(np.sum(w * fp) / w.sum())
         else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-14:
-            break
-    return point(hi)
+            return 0.0, -self.f_kink
+        return -float(np.sum(w * (fp - mean) ** 2)), -mean
 
-
-def _hellinger_ratios(x: np.ndarray, lam: float) -> np.ndarray:
-    """Density ratios r_l = (lam / (lam + x_l + eta))^2 with eta solving
-    mean(r) = 1 on eta > -lam - min(x)."""
-    lo = -lam - float(x.min())
-
-    def mean_r(eta: float) -> float:
-        return float(np.mean((lam / (lam + x + eta)) ** 2))
-
-    span = lam * (1.0 + x.size)
-    hi = lo + span
-    while mean_r(hi) > 1.0:
-        span *= 2.0
-        hi = lo + span
-        if span > 1e20:
-            raise SolverError("Hellinger oracle: eta bracket expansion failed")
-    eta_lo = lo + 1e-300
-    for _ in range(200):
-        mid = 0.5 * (eta_lo + hi)
-        if mean_r(mid) > 1.0:
-            eta_lo = mid
-        else:
-            hi = mid
-        if hi - eta_lo <= 1e-15 * (1.0 + abs(hi)):
-            break
-    eta = 0.5 * (eta_lo + hi)
-    return (lam / (lam + x + eta)) ** 2
-
-
-def _lmo_hellinger(x: np.ndarray, tau: float, cfg: SolverConfig) -> np.ndarray:
-    L = x.size
-
-    def point(lam: float) -> np.ndarray:
-        r = _hellinger_ratios(x, lam)
-        return r / float(r.sum())
-
-    def dist(q: np.ndarray) -> float:
-        return float(np.sum((np.sqrt(L * q) - 1.0) ** 2) / L)
-
-    lo, hi = 1e-8, 1e8
-    if dist(point(lo)) <= tau:
-        return point(lo)
-    if dist(point(hi)) >= tau:
-        return point(hi)
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if dist(point(mid)) > tau:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-14:
-            break
-    return point(hi)
-
-
-def _bracket_minimum(fn: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:
-    """Expand [a, b] until a convex fn has an interior minimum."""
-    fa, fb = fn(a), fn(b)
-    width = b - a
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if fn(mid) <= min(fa, fb) or (math.isinf(fa) and math.isinf(fb)):
-            return a, b
-        if fa < fb:
-            a -= width
-            fa = fn(a)
-        else:
-            b += width
-            fb = fn(b)
-        width = b - a
-    return a, b
-
-
-def _golden_min(fn: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(400):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def _lmo_generic(x: np.ndarray, tau: float, div: FDivergence, cfg: SolverConfig) -> np.ndarray:
-    """Nested scalar dual: golden-section over log lam, inner 1-D convex
-    minimization over eta inside the conjugate's effective domain."""
-    L = x.size
-
-    def inner(lam: float) -> Tuple[float, float]:
-        if np.isfinite(div.conj_sup):
-            eta_lo = -float(x.min()) - lam * float(div.conj_sup)
-        else:
-            eta_lo = -float(x.max()) - lam * (10.0 + L)
-
-        def phi(eta: float) -> float:
-            s = (-eta - x) / lam
-            vals = div.f_conj(s)
-            if not np.all(np.isfinite(vals)):
-                return math.inf
-            return eta + lam * float(vals.sum()) / L
-
-        a = eta_lo + 1e-12 * (1.0 + abs(eta_lo))
-        b = -float(x.min()) + lam * (10.0 + L)
-        a, b = _bracket_minimum(phi, a, b)
-        eta = _golden_min(phi, a, b, max(cfg.dual_tol, 1e-13))
-        return phi(eta), eta
-
-    def dual_value(loglam: float) -> float:
-        lam = math.exp(loglam)
-        val, _ = inner(lam)
-        return lam * tau + val
-
-    loglam = _golden_min(dual_value, math.log(1e-8), math.log(1e8), 1e-10)
-    lam = math.exp(loglam)
-    _, eta = inner(lam)
-    s = (-eta - x) / lam
-    ratios = div.f_subgrad_inv(np.minimum(s, div.conj_sup))
-    if not np.all(np.isfinite(ratios)):
-        raise SolverError(
-            f"dual recovery produced non-finite ratios (lam={lam:.3e}, eta={eta:.3e})"
+    def dual_value(self, p: np.ndarray, lam: float, mu: float) -> float:
+        """g(lam, mu), each per-bin minimum bounded below by the tangent at p
+        over [0, 1]."""
+        s = self.slope(p, lam, mu)
+        tangent = np.minimum(-s * p, s * (1.0 - p))
+        return (
+            _objective(self.v, self.n, self.c, p)
+            + mu * (float(p.sum()) - 1.0)
+            + lam * (self.distance(p) - self.tau)
+            + float(tangent.sum())
         )
-    return ratios / float(ratios.sum())
-
-
-def lmo_fdiv_ball(x, tau: float, div: FDivergence, cfg: Optional[SolverConfig] = None) -> SimplexPoint:
-    """argmin of q.x over the f-divergence ball around uniform.
-
-    tau = 0 returns uniform immediately (the feasible set is a singleton);
-    so does a constant x, for which every feasible point is optimal.
-    """
-    cfg = cfg or SolverConfig()
-    x = np.asarray(x, dtype=float)
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    L = x.size
-    uniform = np.full(L, 1.0 / L)
-    spread = float(x.max() - x.min())
-    if tau == 0.0 or L == 1 or spread == 0.0 or not np.isfinite(spread):
-        if not np.all(np.isfinite(x)):
-            raise SolverError("oracle input contains non-finite entries")
-        if tau == 0.0 or L == 1 or spread == 0.0:
-            return SimplexPoint(uniform)
-    xn = (x - float(x.min())) / spread
-    if div.kind == "tv":
-        q = _lmo_tv(xn, tau)
-    elif div.kind == "kl":
-        q = _lmo_kl(xn, tau, cfg)
-    elif div.kind == "hellinger":
-        q = _lmo_hellinger(xn, tau, cfg)
-    else:
-        q = _lmo_generic(xn, tau, div, cfg)
-    return SimplexPoint(_repair(q, tau, div))
 
 
 # ---------------------------------------------------------------------------
-# Frank-Wolfe driver
+# Driver
 # ---------------------------------------------------------------------------
-
-
-def _segment_min(fn: Callable[[float], float]) -> float:
-    """Exact line search on [0, 1] for the convex segment restriction."""
-    return _golden_min(fn, 0.0, 1.0, 1e-12)
 
 
 def solve_u_stat(
@@ -400,62 +334,75 @@ def solve_u_stat(
     cfg: Optional[SolverConfig] = None,
     certify_threshold: Optional[float] = None,
 ) -> UStatResult:
-    """Minimize the variant objective over the ball; optionally stop early
-    once the value is certified above or below ``certify_threshold``.
+    """Minimize the variant objective over the ball, with certified bounds.
 
-    The running duality gap (p - q).grad bounds the suboptimality of the
-    current iterate, which is what makes the early decision sound.
+    Iterates on the ball multiplier until upper - lower <= ``cfg.gap_tol``;
+    with ``certify_threshold`` it stops as soon as the bounds decide
+    U_tau >= threshold, and runs past the tolerance until they do.
+    ``iterations`` counts ball-multiplier iterates.
     """
     cfg = cfg or SolverConfig()
     variant = StatVariant(variant)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     v, n, L = _counts(V)
+    c = _offset(variant, L)
     uniform = np.full(L, 1.0 / L)
 
     if tau == 0.0 or L == 1:
-        value = objective(variant, V, uniform)
-        decided = None if certify_threshold is None else value >= certify_threshold
-        return UStatResult(value, uniform, 0, 0.0, True, decided)
-
+        value = _objective(v, n, c, uniform)
+        return UStatResult(value, value, uniform, 0, 0.0, True)
     empirical = v / n
-    if discrete_divergence_to_uniform(div, empirical) <= tau:
-        decided = None if certify_threshold is None else 0.0 >= certify_threshold
-        return UStatResult(0.0, empirical, 0, 0.0, True, decided)
+    radius = discrete_divergence_to_uniform(div, empirical)
+    if radius <= tau:
+        return UStatResult(0.0, 0.0, empirical, 0, 0.0, True)
 
-    p = uniform.copy()
-    best_val = objective(variant, V, p)
-    best_p = p
-    lower = -math.inf
-    gap = math.inf
-    iterations = 0
-    margin = 0.0 if certify_threshold is None else 1e-7 * (1.0 + abs(certify_threshold))
-    for t in range(cfg.max_iters):
-        iterations = t + 1
-        g = gradient(variant, V, p)
-        q = lmo_fdiv_ball(g, tau, div, cfg).p
-        gap = float((p - q) @ g)
-        f_p = objective(variant, V, p)
-        if f_p < best_val:
-            best_val, best_p = f_p, p
-        lower = max(lower, f_p - max(gap, 0.0))
-        if certify_threshold is not None:
-            if best_val < certify_threshold:
-                return UStatResult(best_val, best_p, iterations, gap, True, False)
-            if lower >= certify_threshold + margin:
-                return UStatResult(best_val, best_p, iterations, gap, True, True)
-        if gap <= cfg.gap_tol:
+    lag = _Lagrangian(v, n, c, tau, div)
+    upper, best = _objective(v, n, c, uniform), uniform
+    lower = 0.0
+    # U_tau is convex in tau, from U_0 at 0 down to 0 at the radius: its
+    # secant slope is the first guess of lam = -dU/dtau
+    t = math.log(upper / radius)
+    t_lo, t_hi = -math.inf, math.inf
+    mu = -math.exp(t) * lag.f_kink
+    iterations, done = 0, False
+    for iterations in range(1, cfg.max_iters + 1):
+        lam = math.exp(t)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            mu, p = lag.solve_mu(lam, mu)
+            lower = max(lower, lag.dual_value(p, lam, mu))
+            slope, mu_slope = lag.distance_slope(p, lam)
+        q = p / float(p.sum())
+        dist = lag.distance(q)
+        if dist > tau:  # the ball is convex and holds uniform: this stays inside
+            q = uniform + (tau / dist) * (q - uniform)
+        value = _objective(v, n, c, q)
+        if value < upper:
+            upper, best = value, q
+        if certify_threshold is None:
+            done = upper - lower <= cfg.gap_tol
+        else:
+            done = lower >= certify_threshold or upper < certify_threshold
+        if done:
             break
-        step = _segment_min(lambda gam: objective(variant, V, p + gam * (q - p)))
-        if objective(variant, V, p + step * (q - p)) >= f_p:
-            step = 1.0 / (t + 2.0)
-        p = p + step * (q - p)
-    f_p = objective(variant, V, p)
-    if f_p < best_val:
-        best_val, best_p = f_p, p
-    converged = gap <= cfg.gap_tol
-    decided = None if certify_threshold is None else best_val >= certify_threshold
-    return UStatResult(best_val, best_p, iterations, gap, converged, decided)
+        excess = lag.distance(p) - tau
+        if excess > 0.0:
+            t_lo = t
+        else:
+            t_hi = t
+        new = math.nan
+        if slope < 0.0:
+            new = t + max(-_LAM_STEP, min(_LAM_STEP, -excess / (lam * slope)))
+        if not t_lo < new < t_hi:
+            if math.isinf(t_lo) or math.isinf(t_hi):
+                new = t + (_LAM_STEP if excess > 0.0 else -_LAM_STEP)
+            else:
+                new = 0.5 * (t_lo + t_hi)
+        if new == t:
+            break
+        mu += (math.exp(new) - lam) * mu_slope  # first-order warm start
+        t = new
+    return UStatResult(upper, lower, best, iterations, upper - lower, done)
 
 
 def u_stat(variant: StatVariant, V, tau: float, div: FDivergence, cfg: Optional[SolverConfig] = None) -> float:
@@ -471,7 +418,9 @@ def u_stat_exceeds(
     div: FDivergence,
     cfg: Optional[SolverConfig] = None,
 ) -> bool:
-    """Whether U_tau(V) >= threshold, with early-exit certificates."""
-    return bool(
-        solve_u_stat(variant, V, tau, div, cfg, certify_threshold=threshold).decided
-    )
+    """Whether U_tau(V) >= threshold, as certified by the solver's bounds.
+
+    Raises SolverError when ``cfg.max_iters`` iterates leave the threshold
+    between the bounds.
+    """
+    return solve_u_stat(variant, V, tau, div, cfg, certify_threshold=threshold).certified(threshold)

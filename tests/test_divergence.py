@@ -12,19 +12,11 @@ from grasp.divergence import (
     bernoulli_divergence_many,
     custom_divergence,
     discrete_divergence_to_uniform,
-    f_conjugate,
     f_eval,
-    f_subgrad_inverse,
     get_divergence,
 )
 
 ALL = [KL, TV, HELLINGER]
-
-
-def conjugate_grid_oracle(div, s, t_hi=50.0, num=400_000):
-    # sup_{t>=0} (s t - f(t)) on a fine grid; t = 1 added for kinked f
-    t = np.unique(np.concatenate([np.linspace(0.0, t_hi, num), [1.0]]))
-    return float(np.max(s * t - div.f(t)))
 
 
 def test_f_eval_examples():
@@ -44,74 +36,40 @@ def test_f_eval_rejects_negative():
         f_eval(KL, -0.1)
 
 
-def test_conjugate_examples_match_grid_oracle():
-    assert f_conjugate(KL, 1.0) == pytest.approx(conjugate_grid_oracle(KL, 1.0), abs=1e-6)
-    assert f_conjugate(KL, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert f_conjugate(TV, 0.0) == pytest.approx(conjugate_grid_oracle(TV, 0.0), abs=1e-6)
-    assert f_conjugate(TV, 0.0) == 0.0
-    assert f_conjugate(HELLINGER, 0.5) == pytest.approx(
-        conjugate_grid_oracle(HELLINGER, 0.5, t_hi=20.0), abs=1e-6
-    )
-    assert f_conjugate(HELLINGER, 0.5) == pytest.approx(1.0, abs=1e-12)
+def test_derivative_examples():
+    assert KL.f_prime(np.asarray(1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert KL.f_second(np.asarray(2.0)) == pytest.approx(0.5, abs=1e-12)
+    assert HELLINGER.f_prime(np.asarray(4.0)) == pytest.approx(0.5, abs=1e-12)
+    assert HELLINGER.f_second(np.asarray(1.0)) == pytest.approx(0.5, abs=1e-12)
+    assert TV.f_prime(np.asarray(0.25)) == -0.5
+    assert TV.f_prime(np.asarray(1.0)) == 0.0
+    assert TV.f_prime(np.asarray(3.0)) == 0.5
+    assert TV.f_second(np.asarray(3.0)) == 0.0
+    # the right limits at 0 that let the per-bin minimum stay interior
+    assert KL.f_prime(np.asarray(0.0)) == -math.inf
+    assert HELLINGER.f_prime(np.asarray(0.0)) == -math.inf
 
 
-def test_conjugate_effective_domains():
-    assert f_conjugate(TV, 0.5) == 0.5
-    assert f_conjugate(TV, 0.51) == math.inf
-    assert f_conjugate(TV, -3.0) == -0.5
-    assert f_conjugate(HELLINGER, 1.0) == math.inf
-    assert np.isfinite(f_conjugate(KL, 40.0))
-
-
-def test_conjugate_consistency_biconjugate():
-    # f(t) = sup_s (s t - f*(s)) within 1e-8 on t in [0.01, 10]
-    ts = np.linspace(0.01, 10.0, 97)
-    grids = {
-        "kl": np.linspace(-40.0, 5.0, 1_500_000),
-        "tv": np.unique(np.concatenate([np.linspace(-3.0, 0.5, 700_000), [-0.5, 0.5]])),
-        "hellinger": np.linspace(-40.0, 1.0 - 1e-9, 1_500_000),
-    }
+def test_derivatives_match_finite_differences():
+    ts = np.linspace(0.05, 10.0, 97)
+    ts = ts[np.abs(ts - 1.0) > 1e-3]  # off TV's kink
+    h = 1e-6
     for div in ALL:
-        s = grids[div.kind]
-        fstar = div.f_conj(s)
-        finite = np.isfinite(fstar)
-        s, fstar = s[finite], fstar[finite]
-        recon = np.max(s[None, :] * ts[:, None] - fstar[None, :], axis=1)
-        assert np.max(np.abs(recon - div.f(ts))) < 1e-8, div.kind
-
-
-def test_subgrad_inverse_examples():
-    assert f_subgrad_inverse(KL, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert f_subgrad_inverse(HELLINGER, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert f_subgrad_inverse(TV, 0.25) == 1.0
-
-
-def test_subgrad_inverse_root_find_oracle():
-    # root of f'(q) = v found by bisection agrees with the closed forms
-    rng = np.random.default_rng(3)
-    for div, deriv, v_lo, v_hi in [
-        (KL, lambda t: np.log(t) + 1.0, -3.0, 3.0),
-        (HELLINGER, lambda t: 1.0 - 1.0 / np.sqrt(t), -3.0, 0.9),
-    ]:
-        for v in rng.uniform(v_lo, v_hi, size=25):
-            lo, hi = 1e-12, 1e6
-            for _ in range(200):
-                mid = math.sqrt(lo * hi)
-                if deriv(mid) < v:
-                    lo = mid
-                else:
-                    hi = mid
-            assert f_subgrad_inverse(div, v) == pytest.approx(lo, rel=1e-6)
+        fd1 = (div.f(ts + h) - div.f(ts - h)) / (2 * h)
+        fd2 = (div.f_prime(ts + h) - div.f_prime(ts - h)) / (2 * h)
+        assert np.max(np.abs(div.f_prime(ts) - fd1)) < 1e-6, div.kind
+        assert np.max(np.abs(div.f_second(ts) - fd2)) < 1e-4, div.kind
 
 
 def test_subgradient_inequality_property():
+    # f'(q) is a subgradient: f(s) - f(q) >= f'(q) (s - q) for all s >= 0
     rng = np.random.default_rng(11)
     ss = rng.uniform(0.0, 12.0, size=100)
-    for div, v_range in [(KL, (-3, 3)), (TV, (-0.5, 0.5)), (HELLINGER, (-3, 0.95))]:
-        for v in rng.uniform(*v_range, size=20):
-            q = f_subgrad_inverse(div, v)
+    for div in ALL:
+        for q in np.concatenate([rng.uniform(0.01, 6.0, size=20), [1.0]]):
+            v = div.f_prime(np.asarray(q))
             lhs = div.f(ss) - div.f(np.asarray(q))
-            assert np.all(lhs >= v * (ss - q) - 1e-9), (div.kind, v)
+            assert np.all(lhs >= v * (ss - q) - 1e-9), (div.kind, q)
 
 
 def test_bernoulli_examples():
@@ -188,11 +146,7 @@ def test_get_divergence_tokens():
 
 def test_custom_divergence_roundtrip():
     clone = custom_divergence(
-        f=KL.f,
-        f_conj=KL.f_conj,
-        f_subgrad_inv=KL.f_subgrad_inv,
-        conj_sup=np.inf,
-        recession_slope=math.inf,
+        f=KL.f, f_prime=KL.f_prime, f_second=KL.f_second, recession_slope=math.inf
     )
     pair = BernoulliPair(0.9, 0.2)
     assert bernoulli_divergence(clone, pair) == pytest.approx(
@@ -204,6 +158,6 @@ def test_custom_divergence_rejects_nonconvex():
     with pytest.raises(ValueError):
         custom_divergence(
             f=lambda t: -np.abs(np.asarray(t) - 1.0),
-            f_conj=KL.f_conj,
-            f_subgrad_inv=KL.f_subgrad_inv,
+            f_prime=lambda t: -np.sign(np.asarray(t) - 1.0),
+            f_second=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         )

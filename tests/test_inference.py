@@ -86,6 +86,9 @@ def test_pvalue_asym_examples():
     u = chi2_quantile(0.9, 49)
     assert pvalue_asym(u, 50) == pytest.approx(0.1, abs=1e-8)
     assert pvalue_asym(1e4, 50) == pytest.approx(0.0, abs=1e-12)
+    # far in the tail, where 1 - cdf would lose every digit
+    assert pvalue_asym(746.2, 50) == pytest.approx(2.1402018e-125, rel=1e-6)
+    assert pvalue_asym(140.0, 50) == pytest.approx(1.0766487e-10, rel=1e-6)
 
 
 def test_pvalues_nonincreasing_in_u():
