@@ -76,6 +76,67 @@ def test_gradient_matches_finite_differences():
                 assert abs(g[i] - fd) < 1e-4 * max(1.0, abs(fd))
 
 
+def test_lmo_constant_input_returns_uniform():
+    # equal counts: the empirical point is uniform and attains U_tau = 0
+    for div in ALL:
+        for variant in ("asym", "finite"):
+            res = solve_u_stat(variant, np.full(5, 7.0), 0.4, div)
+            assert np.allclose(res.minimizer, 0.2)
+            assert res.value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_lmo_tau_zero_returns_uniform():
+    V = np.array([5.0, 1.0, 2.0])
+    for div in ALL:
+        for variant in ("asym", "finite"):
+            res = solve_u_stat(variant, V, 0.0, div)
+            assert np.allclose(res.minimizer, 1.0 / 3)
+            assert res.lower == res.value == pytest.approx(objective(variant, V, np.full(3, 1.0 / 3)))
+            # a tiny ball keeps the minimizer next to uniform
+            near = solve_u_stat(variant, V, 1e-10, div)
+            assert np.max(np.abs(near.minimizer - 1.0 / 3)) < 1e-4
+
+
+def test_lmo_large_ball_reaches_vertex():
+    # all mass in one bin: as tau nears the vertex's radius the minimizer
+    # moves onto that vertex and U_tau falls toward 0
+    V = np.array([40.0, 0.0, 0.0])
+    vertex = np.array([1.0, 0.0, 0.0])
+    for div in ALL:
+        radius = discrete_divergence_to_uniform(div, vertex)
+        res = solve_u_stat("asym", V, 0.999 * radius, div)
+        oracle = u_stat_grid_oracle("asym", V, 0.999 * radius, div)
+        assert res.converged
+        assert res.minimizer[0] > 0.99, div.kind
+        assert res.lower <= oracle + 1e-9
+        assert abs(res.value - oracle) <= max(1e-3, 1e-3 * oracle)
+        above = solve_u_stat("asym", V, 1.01 * radius, div)
+        assert np.array_equal(above.minimizer, vertex) and above.value == 0.0
+
+
+def test_lmo_generic_dual_path_matches_fast_paths():
+    # custom clones of KL and Hellinger, given f, f' and f'', solve to the
+    # same U_tau as the built-in divergences
+    kl_clone = custom_divergence(
+        f=KL.f, f_prime=KL.f_prime, f_second=KL.f_second, recession_slope=math.inf
+    )
+    hell_clone = custom_divergence(
+        f=HELLINGER.f, f_prime=HELLINGER.f_prime, f_second=HELLINGER.f_second, recession_slope=1.0
+    )
+    gen = np.random.default_rng(5)
+    for clone, builtin in [(kl_clone, KL), (hell_clone, HELLINGER)]:
+        for _ in range(6):
+            L = int(gen.integers(2, 6))
+            V = gen.multinomial(int(gen.integers(20, 300)), gen.dirichlet(np.ones(L))).astype(float)
+            tau = float(gen.choice([0.02, 0.1, 0.3]))
+            for variant in ("asym", "finite"):
+                generic = solve_u_stat(variant, V, tau, clone)
+                fast = solve_u_stat(variant, V, tau, builtin)
+                assert generic.converged and fast.converged
+                assert generic.value == pytest.approx(fast.value, abs=5e-5)
+                assert generic.lower <= fast.value + 1e-9 and fast.lower <= generic.value + 1e-9
+
+
 def test_custom_divergence_matches_grid_oracle():
     # chi-square: f'(0) = -2 is finite, so per-bin minima can sit at p = 0
     chi2 = custom_divergence(
