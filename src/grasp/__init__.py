@@ -9,7 +9,7 @@ exact Lagrangian-dual solver over f-divergence balls that certifies each
 decision with a lower and an upper bound on the statistic.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .divergence import (
     KL,

@@ -32,7 +32,7 @@ from .dataio import (
     spec_from_config,
 )
 from .divergence import get_divergence
-from .experiments import make_theta0, run_power_table, run_size_table, tau0_monte_carlo
+from .experiments import make_theta0, run_power_table, run_size_table, tau0_monte_carlo, theta1_from_rule
 from .inference import ci_lower, perfect_fit_test, evaluate_counts
 from .sampling import FeatureSampler, RngStream, grasp_counts_df, grasp_counts_modelx, grasp_counts_simple
 from .scores import DatasetScoreFn, ProbModel, ScoreFn
@@ -91,17 +91,19 @@ def _outcome_payload(outcomes: dict, args: argparse.Namespace) -> dict:
     return payload
 
 
-def cmd_test(args: argparse.Namespace) -> int:
-    samples = read_samples_csv(args.input)
-    div = get_divergence(args.divergence)
+def _counts_from_args(args: argparse.Namespace, samples):
+    """Fixed-feature counts: the simple pipeline for the identity score,
+    else the ranked one with --K."""
     rng = RngStream(args.seed)
     score = _make_score(args)
     if args.score == "identity":
-        counts = grasp_counts_simple(samples, args.L, rng)
-    else:
-        if args.K is None:
-            raise InputError(f"--score {args.score} requires --K")
-        counts = grasp_counts_df(samples, score, args.L, args.K, rng)
+        return grasp_counts_simple(samples, args.L, rng)
+    if args.K is None:
+        raise InputError(f"--score {args.score} requires --K")
+    return grasp_counts_df(samples, score, args.L, args.K, rng)
+
+
+def _write_outcomes(args: argparse.Namespace, counts, div) -> int:
     outcomes = {}
     for variant in _variants(args.variant):
         outcome = evaluate_counts(
@@ -110,6 +112,12 @@ def cmd_test(args: argparse.Namespace) -> int:
         outcomes[variant] = outcome.to_json_dict()
     _write(dump_json(_outcome_payload(outcomes, args)), args.out)
     return EXIT_OK
+
+
+def cmd_test(args: argparse.Namespace) -> int:
+    samples = read_samples_csv(args.input)
+    div = get_divergence(args.divergence)
+    return _write_outcomes(args, _counts_from_args(args, samples), div)
 
 
 def cmd_modelx_test(args: argparse.Namespace) -> int:
@@ -136,14 +144,7 @@ def cmd_modelx_test(args: argparse.Namespace) -> int:
     if args.K is None:
         raise InputError("modelx-test requires --K")
     counts = grasp_counts_modelx(samples, score, model, px, args.L, args.K, rng)
-    outcomes = {}
-    for variant in _variants(args.variant):
-        outcome = evaluate_counts(
-            variant, counts, args.tau, div, args.alpha, SolverConfig(), seed=args.seed
-        )
-        outcomes[variant] = outcome.to_json_dict()
-    _write(dump_json(_outcome_payload(outcomes, args)), args.out)
-    return EXIT_OK
+    return _write_outcomes(args, counts, div)
 
 
 def cmd_perfect_fit(args: argparse.Namespace) -> int:
@@ -162,14 +163,7 @@ def cmd_perfect_fit(args: argparse.Namespace) -> int:
 def cmd_ci(args: argparse.Namespace) -> int:
     samples = read_samples_csv(args.input)
     div = get_divergence(args.divergence)
-    rng = RngStream(args.seed)
-    score = _make_score(args)
-    if args.score == "identity":
-        counts = grasp_counts_simple(samples, args.L, rng)
-    else:
-        if args.K is None:
-            raise InputError(f"--score {args.score} requires --K")
-        counts = grasp_counts_df(samples, score, args.L, args.K, rng)
+    counts = _counts_from_args(args, samples)
     bounds = {}
     for variant in _variants(args.variant):
         bound = ci_lower(variant, counts, args.alpha, div, SolverConfig())
@@ -200,12 +194,7 @@ def cmd_tau0(args: argparse.Namespace) -> int:
         theta0 = read_theta(args.theta0_file)
     else:
         theta0 = make_theta0(args.d, args.sigma, RngStream(args.seed, 0))
-    if args.theta1_rule == "same":
-        theta1 = theta0
-    elif args.theta1_rule == "negated":
-        theta1 = -theta0
-    else:
-        theta1 = -args.theta1_scale * theta0
+    theta1 = theta1_from_rule(theta0, args.theta1_rule, args.theta1_scale)
     est, se = tau0_monte_carlo(
         theta0, theta1, div, args.samples, RngStream(args.seed, stream_id=2_000_000_000)
     )

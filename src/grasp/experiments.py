@@ -27,7 +27,8 @@ from .sampling import (
     EvalSample,
     FeatureSampler,
     RngStream,
-    grasp_counts_df,
+    _labels,
+    _w_from_uniform,
     grasp_counts_modelx,
     grasp_counts_simple,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "ExperimentSpec",
     "ResultRow",
     "make_theta0",
+    "theta1_from_rule",
     "gen_logistic_data",
     "tau0_monte_carlo",
     "run_size_table",
@@ -124,12 +126,13 @@ def make_theta0(d: int, sigma: float, rng: RngStream) -> np.ndarray:
     return sigma * rng.generator().standard_normal(d)
 
 
-def _theta1(spec: ExperimentSpec, theta0: np.ndarray) -> np.ndarray:
-    if spec.theta1_rule == "same":
+def theta1_from_rule(theta0: np.ndarray, rule: str, scale: float = 1.0) -> np.ndarray:
+    """The test model's coefficients: theta0 itself, -theta0, or -scale * theta0."""
+    if rule == "same":
         return theta0
-    if spec.theta1_rule == "negated":
+    if rule == "negated":
         return -theta0
-    return -spec.theta1_scale * theta0
+    return -scale * theta0
 
 
 def gen_logistic_data(
@@ -149,8 +152,8 @@ def gen_logistic_data(
     y = (gen.uniform(size=n) < eta).astype(int)
     eta_hat = eta if theta1 is None else sigmoid(x @ np.asarray(theta1, dtype=float))
     return [
-        EvalSample(x=x[j], y=int(y[j]), eta_hat=float(eta_hat[j]), eta=float(eta[j]))
-        for j in range(n)
+        EvalSample(x=row, y=label, eta_hat=score, eta=truth)
+        for row, label, score, truth in zip(x, y.tolist(), eta_hat.tolist(), eta.tolist())
     ]
 
 
@@ -163,19 +166,26 @@ def tau0_monte_carlo(
     block: int = 20_000,
 ) -> Tuple[float, float]:
     """Monte-Carlo estimate (with standard error) of the expected Bernoulli
-    divergence between the two logistic models over x ~ N(0, I_d)."""
+    divergence between the two logistic models over x ~ N(0, I_d).
+
+    The models read x only through (x.theta0, x.theta1), so that 2-D
+    Gaussian is drawn instead of x; equal coefficient vectors share one
+    column, which keeps the divergence of equal models exactly 0.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     theta0 = np.asarray(theta0, dtype=float)
     theta1 = np.asarray(theta1, dtype=float)
+    V = theta0[:, None] if np.array_equal(theta0, theta1) else np.column_stack([theta0, theta1])
+    draw = FeatureSampler.gaussian_iso(np.zeros(theta0.shape[0]), 1.0).projector(V)
     gen = rng.generator()
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
         m = min(block, samples - done)
-        x = gen.standard_normal((m, theta0.shape[0]))
-        vals = bernoulli_divergence_many(div, sigmoid(x @ theta0), sigmoid(x @ theta1))
+        z = draw(gen, (m,))
+        vals = bernoulli_divergence_many(div, sigmoid(z[:, 0]), sigmoid(z[:, -1]))
         total += float(vals.sum())
         total_sq += float((vals**2).sum())
         done += m
@@ -189,14 +199,14 @@ def _trial_counts(
 ) -> BinCounts:
     rng = RngStream(spec.seed, stream_id=trial + 1)
     samples = gen_logistic_data(theta0, spec.n, rng, theta1=theta1)
-    if spec.mode == "df":
-        if spec.score == "identity":
-            return grasp_counts_simple(samples, spec.L, rng)
-        score = _make_score(spec, theta0, theta1, trial)
-        return grasp_counts_df(samples, score, spec.L, spec.K, rng)
+    if spec.mode == "df" and spec.score == "identity":
+        return grasp_counts_simple(samples, spec.L, rng)
     score = _make_score(spec, theta0, theta1, trial)
-    model = ProbModel.logistic_linear(theta1)
-    px = FeatureSampler.gaussian_iso(np.zeros(spec.d), 1.0)
+    if spec.mode == "df":
+        model, px = None, FeatureSampler.paired_original()
+    else:
+        model = ProbModel.logistic_linear(theta1)
+        px = FeatureSampler.gaussian_iso(np.zeros(spec.d), 1.0)
     return grasp_counts_modelx(samples, score, model, px, spec.L, spec.K, rng)
 
 
@@ -208,16 +218,13 @@ def _make_score(
     if spec.score == "agnostic":
         return ScoreFn.agnostic()
     if spec.score == "oracle":
-        return ScoreFn.oracle(eta_fn=lambda x: sigmoid(np.asarray(x) @ theta0))
+        return ScoreFn.oracle(ProbModel.logistic_linear(theta0))
     # residual: fit w on x on a fresh auxiliary set drawn within the trial;
     # stream ids >= 1e9 are reserved for auxiliary draws (trials use 1..trials)
     aux_rng = RngStream(spec.seed, stream_id=1_000_000_000 + trial)
     aux = gen_logistic_data(theta0, spec.aux_size, aux_rng, theta1=theta1)
-    gen = aux_rng.generator()
-    u = gen.uniform(size=spec.aux_size)
-    w = np.array(
-        [u[j] * s.eta_hat if s.y == 1 else s.eta_hat + u[j] * (1 - s.eta_hat) for j, s in enumerate(aux)]
-    )
+    u = aux_rng.generator().uniform(size=spec.aux_size)
+    w = _w_from_uniform(u, *_labels(aux))
     theta = fit_linear_score(np.stack([s.x for s in aux]), w, ridge=1e-8)
     return ScoreFn.linear_residual(theta)
 
@@ -234,7 +241,7 @@ def _decide_trial(
 
 def _run_table(spec: ExperimentSpec) -> List[ResultRow]:
     theta0 = make_theta0(spec.d, spec.sigma_theta, RngStream(spec.seed, 0))
-    theta1 = _theta1(spec, theta0)
+    theta1 = theta1_from_rule(theta0, spec.theta1_rule, spec.theta1_scale)
     variants = [StatVariant(v) for v in spec.variants]
     rejects = {
         (tau, a, v.value): 0 for tau in spec.tau_grid for a in spec.alphas for v in variants
@@ -291,7 +298,7 @@ def run_power_table(spec: ExperimentSpec) -> List[ResultRow]:
             theta0 = make_theta0(spec.d, spec.sigma_theta, RngStream(spec.seed, 0))
             tau0, _ = tau0_monte_carlo(
                 theta0,
-                _theta1(spec, theta0),
+                theta1_from_rule(theta0, spec.theta1_rule, spec.theta1_scale),
                 get_divergence(spec.divergence),
                 50_000,
                 RngStream(spec.seed, stream_id=2_000_000_000),

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .divergence import FDivergence, discrete_divergence_to_uniform
-from .sampling import BinCounts, EvalSample, _w_from_uniform
+from .sampling import BinCounts, EvalSample, _labels, _w_from_uniform
 from .scores import DatasetScoreFn
 from .solver import SolverConfig, StatVariant, solve_u_stat, u_stat_exceeds
 
@@ -353,9 +353,7 @@ def perfect_fit_test(
     x = np.stack([s.x for s in samples])
     gen = rng.generator()
     u = gen.uniform(size=n)
-    w = np.array(
-        [_w_from_uniform(u[j], s.y, s.eta_hat) for j, s in enumerate(samples)]
-    )
+    w = _w_from_uniform(u, *_labels(samples))
     w_cf = gen.uniform(size=(M, n))
     orig = dscore.score(x, w)
     cf = np.array([dscore.score(x, w_cf[j]) for j in range(M)])

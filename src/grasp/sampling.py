@@ -6,20 +6,25 @@ conditional law matches Unif[0,1] exactly when the model under test equals
 the true conditional probability, plus M counterfeit draws.  The original's
 score rank among its counterfeits assigns it to one of L bins.
 
-Draw order is fixed per sample (w, then the M counterfeit w-values, then
-the M counterfeit feature rows in the model-X variant), each sample on its
-own derived RNG substream, so results do not depend on scheduling.
+Each pipeline call runs vectorized over all n samples on one generator, the
+counts substream of its ``RngStream``, in a fixed draw order: the (n,)
+uniforms behind w, then the (n, M) counterfeit w-values, then, in the
+model-X variant, the counterfeit features.  Row j of each array belongs to
+sample j.  Counterfeit features are drawn only as the projections
+x_tilde @ V that the score and the models read (V holds theta of the model
+under test, of the true model for the oracle score, and of the residual
+score; the identity for custom scores).  This is exact in law: for
+x_tilde ~ N(m, s^2 I), x_tilde @ V ~ N(m @ V, s^2 V'V).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .scores import ProbModel, ScoreFn
+from .scores import ProbModel, ScoreFn, sigmoid
 
 __all__ = [
     "RngStream",
@@ -34,29 +39,30 @@ __all__ = [
     "grasp_counts_modelx",
 ]
 
+# Substream key of the count pipelines: callers often draw their data from
+# the same RngStream's ``generator()``, which the pipelines must not replay.
+_COUNTS = 0
+# Counterfeit projections scored at once, in floats: bounds the memory the
+# score's temporaries take, whatever M and the number of projections.
+_BLOCK = 1 << 13
+
 
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic stream addressed by (seed, stream_id).
 
     Identical (seed, stream_id) produce identical draw sequences, and
-    ``child_generator(i)`` derives independent per-sample substreams that
-    are stable across platforms and process layouts.
+    ``generator(*key)`` addresses independent substreams that are stable
+    across platforms and process layouts.
     """
 
     seed: int
     stream_id: int = 0
 
-    def generator(self) -> np.random.Generator:
+    def generator(self, *key: int) -> np.random.Generator:
         return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
+            np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id, *key))
         )
-
-    def child_generator(self, index: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream_id, index)
-        )
-        return np.random.default_rng(ss)
 
 
 @dataclass(frozen=True)
@@ -112,10 +118,11 @@ class BinCounts:
 class FeatureSampler:
     """Distribution of counterfeit feature rows for the model-X variant.
 
-    Modes: ``gaussian_iso`` draws mean + sigma * N(0, I_d); ``pool`` draws
-    rows with replacement from an unlabeled feature matrix; ``paired``
-    returns the original sample's own features (a degenerate one-row pool
-    paired per sample, used to reduce model-X to the fixed-feature case).
+    Modes: ``gaussian_iso`` is N(mean, sigma^2 I_d); ``pool`` draws rows
+    with replacement from an unlabeled feature matrix; ``paired`` gives each
+    counterfeit its original sample's own features and eta_hat (a
+    degenerate one-row pool per sample, which reduces model-X to the
+    fixed-feature case).
     """
 
     mode: str
@@ -140,42 +147,71 @@ class FeatureSampler:
     def paired_original(cls) -> "FeatureSampler":
         return cls(mode="paired")
 
-    def draw(self, gen: np.random.Generator, m: int, original_x: np.ndarray) -> np.ndarray:
+    @property
+    def dim(self) -> int:
         if self.mode == "gaussian_iso":
-            d = self.mean.shape[0]
-            return self.mean + self.sigma * gen.standard_normal((m, d))
+            return self.mean.shape[0]
         if self.mode == "pool":
-            idx = gen.integers(0, self.pool.shape[0], size=m)
-            return self.pool[idx]
-        if self.mode == "paired":
-            return np.broadcast_to(original_x, (m, original_x.shape[0]))
-        raise ValueError(f"unknown feature-sampler mode {self.mode!r}")
+            return self.pool.shape[1]
+        raise ValueError(f"feature-sampler mode {self.mode!r} has no dimension of its own")
+
+    def projector(
+        self, V: np.ndarray
+    ) -> Callable[[np.random.Generator, Tuple[int, ...]], np.ndarray]:
+        """``draw(gen, shape)``: x_tilde @ V for independent rows x_tilde,
+        one per index of ``shape``, as an array of shape shape + (k,).
+
+        Successive draws continue one stream, so a shape drawn in blocks of
+        leading rows gives the same array as drawn at once.
+        """
+        V = np.asarray(V, dtype=float)
+        if self.mode == "gaussian_iso":
+            loc = self.mean @ V
+            root = self.sigma * _psd_sqrt(V.T @ V)
+            return lambda gen, shape: loc + gen.standard_normal(shape + (V.shape[1],)) @ root
+        if self.mode == "pool":
+            table = self.pool @ V
+            return lambda gen, shape: table[gen.integers(0, table.shape[0], size=shape)]
+        raise ValueError(f"feature-sampler mode {self.mode!r} draws no fresh features")
+
+
+def _psd_sqrt(gram: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a PSD matrix, by eigh: the Gram matrix of
+    theta_1 = -theta_0 is singular, which Cholesky rejects."""
+    lam, Q = np.linalg.eigh(gram)
+    return (Q * np.sqrt(np.clip(lam, 0.0, None))) @ Q.T
 
 
 def draw_w(sample: EvalSample, rng: RngStream) -> float:
     """Draw w ~ Unif[0, eta_hat] when y = 1 and w ~ Unif[eta_hat, 1] when y = 0.
 
     Degenerate eta_hat in {0, 1} collapses the interval to its endpoint.
+    This is the w the pipelines draw for a one-sample list.
     """
-    u = float(rng.generator().uniform())
-    return _w_from_uniform(u, sample.y, sample.eta_hat)
+    u = rng.generator(_COUNTS).uniform()
+    return float(_w_from_uniform(u, sample.y, sample.eta_hat))
 
 
-def _w_from_uniform(u: float, y: int, eta_hat: float) -> float:
-    if y == 1:
-        return u * eta_hat
-    return eta_hat + u * (1.0 - eta_hat)
+def _w_from_uniform(u, y, eta_hat):
+    """u * eta_hat where y = 1, eta_hat + u * (1 - eta_hat) where y = 0; elementwise."""
+    return np.where(np.asarray(y) == 1, u * eta_hat, eta_hat + u * (1.0 - eta_hat))
 
 
-def rank(t_orig: float, t_counterfeits: np.ndarray) -> int:
-    """1 + #{i : t_orig >= t_counterfeits[i]}; ties count toward the original."""
-    return 1 + int(np.count_nonzero(t_orig >= np.asarray(t_counterfeits)))
+def rank(t_orig, t_counterfeits):
+    """1 + #{i : t_orig >= t_counterfeits[..., i]}; ties count toward the original.
+
+    Vectorized: t_orig of shape s against counterfeits of shape s + (M,).
+    """
+    t_orig = np.asarray(t_orig, dtype=float)
+    return 1 + np.count_nonzero(t_orig[..., None] >= np.asarray(t_counterfeits), axis=-1)
 
 
-def assign_label(r: int, K: int, L: int) -> int:
-    """Map rank r in [1, K*L] to its bin ceil(r / K)."""
-    if not 1 <= r <= K * L:
-        raise RuntimeError(f"rank {r} outside [1, {K * L}]; rank computation is broken")
+def assign_label(r, K: int, L: int):
+    """Map ranks r in [1, K*L] to their bins ceil(r / K); elementwise."""
+    r = np.asarray(r)
+    bad = np.atleast_1d(r)[np.atleast_1d((r < 1) | (r > K * L))]
+    if bad.size:
+        raise RuntimeError(f"rank {bad[0]} outside [1, {K * L}]; rank computation is broken")
     return (r + K - 1) // K
 
 
@@ -184,46 +220,11 @@ def _require_samples(samples: Sequence[EvalSample]) -> None:
         raise ValueError("samples must be nonempty")
 
 
-def grasp_counts_df(
-    samples: Sequence[EvalSample],
-    score: ScoreFn,
-    L: int,
-    K: int,
-    rng: RngStream,
-) -> BinCounts:
-    """Bin counts in the fixed-feature setting (counterfeits reuse each x).
-
-    For each sample: draw w, draw M = K*L - 1 counterfeit values from
-    Unif[0,1], score all candidates at the sample's own features, rank the
-    original and increment the bin holding its rank block.
-    """
-    _require_samples(samples)
-    if K < 1 or L < 1:
-        raise ValueError("K and L must be >= 1")
-    M = K * L - 1
-    counts = np.zeros(L, dtype=np.int64)
-    for j, sample in enumerate(samples):
-        gen = rng.child_generator(j)
-        w = _w_from_uniform(float(gen.uniform()), sample.y, sample.eta_hat)
-        w_cf = gen.uniform(size=M)
-        if score.is_external:
-            t_orig = score.external_lookup(j, 0)
-            t_cf = np.array([score.external_lookup(j, i + 1) for i in range(M)])
-        else:
-            m = M + 1
-            x_mat = np.broadcast_to(sample.x, (m, sample.x.shape[0]))
-            w_all = np.concatenate(([w], w_cf))
-            eta_hat_all = np.full(m, sample.eta_hat)
-            eta_all = None
-            if score.needs_eta:
-                if sample.eta is None:
-                    raise ValueError("oracle score requires samples with true eta set")
-                eta_all = np.full(m, sample.eta)
-            t_all = score.evaluate(x_mat, w_all, eta_hat_all, eta_all)
-            t_orig, t_cf = float(t_all[0]), t_all[1:]
-        r = rank(t_orig, t_cf)
-        counts[assign_label(r, K, L) - 1] += 1
-    return BinCounts(counts=counts, n=len(samples), L=L, K=K, M=M)
+def _labels(samples: Sequence[EvalSample]) -> Tuple[np.ndarray, np.ndarray]:
+    n = len(samples)
+    y = np.fromiter((s.y for s in samples), dtype=np.int64, count=n)
+    eta_hat = np.fromiter((s.eta_hat for s in samples), dtype=float, count=n)
+    return y, eta_hat
 
 
 def grasp_counts_simple(
@@ -239,13 +240,23 @@ def grasp_counts_simple(
     _require_samples(samples)
     if L < 1:
         raise ValueError("L must be >= 1")
-    counts = np.zeros(L, dtype=np.int64)
-    for j, sample in enumerate(samples):
-        gen = rng.child_generator(j)
-        w = _w_from_uniform(float(gen.uniform()), sample.y, sample.eta_hat)
-        label = min(max(1, math.ceil(w * L)), L)
-        counts[label - 1] += 1
+    y, eta_hat = _labels(samples)
+    w = _w_from_uniform(rng.generator(_COUNTS).uniform(size=len(samples)), y, eta_hat)
+    labels = np.clip(np.ceil(w * L), 1, L).astype(np.int64)
+    counts = np.bincount(labels - 1, minlength=L)
     return BinCounts(counts=counts, n=len(samples), L=L, K=None, M=None)
+
+
+def grasp_counts_df(
+    samples: Sequence[EvalSample],
+    score: ScoreFn,
+    L: int,
+    K: int,
+    rng: RngStream,
+) -> BinCounts:
+    """Bin counts in the fixed-feature setting: the model-X pipeline with
+    every counterfeit at its sample's own features and eta_hat."""
+    return grasp_counts_modelx(samples, score, None, FeatureSampler.paired_original(), L, K, rng)
 
 
 def grasp_counts_modelx(
@@ -259,38 +270,106 @@ def grasp_counts_modelx(
 ) -> BinCounts:
     """Bin counts in the known-feature-distribution setting.
 
-    Counterfeits are fresh pairs (x_tilde ~ P_X, w_tilde ~ Unif[0,1]); the
-    model under test must be evaluable at counterfeit features whenever the
-    score needs eta_hat there.
+    For each sample: draw w and M = K*L - 1 counterfeit pairs
+    (x_tilde ~ P_X, w_tilde ~ Unif[0,1]), score all candidates, rank the
+    original and count the bin holding its rank block.  The model under
+    test must be evaluable at counterfeit features whenever the score needs
+    eta_hat there.
     """
     _require_samples(samples)
     if K < 1 or L < 1:
         raise ValueError("K and L must be >= 1")
-    if score.needs_eta_hat and model is None:
+    if score.needs_eta_hat and model is None and px.mode != "paired":
         raise ValueError(f"score {score.kind!r} needs a model to score counterfeit features")
     M = K * L - 1
-    counts = np.zeros(L, dtype=np.int64)
-    for j, sample in enumerate(samples):
-        gen = rng.child_generator(j)
-        w = _w_from_uniform(float(gen.uniform()), sample.y, sample.eta_hat)
-        w_cf = gen.uniform(size=M)
-        x_cf = px.draw(gen, M, sample.x)
-        if score.is_external:
-            t_orig = score.external_lookup(j, 0)
-            t_cf = np.array([score.external_lookup(j, i + 1) for i in range(M)])
-        else:
-            eta_hat_orig = np.array([sample.eta_hat])
-            eta_hat_cf = model.evaluate(x_cf) if score.needs_eta_hat else np.zeros(M)
-            eta_orig = eta_cf = None
-            if score.needs_eta:
-                if sample.eta is None:
-                    raise ValueError("oracle score requires samples with true eta set")
-                eta_orig = np.array([sample.eta])
-                eta_cf = score.oracle_eta(x_cf)
-            t_orig = float(
-                score.evaluate(sample.x[None, :], np.array([w]), eta_hat_orig, eta_orig)[0]
+    n = len(samples)
+    if score.is_external:
+        t = score.external_scores(n, M + 1)
+        ranks = rank(t[:, 0], t[:, 1:])
+    else:
+        ranks = _ranks(samples, score, model, px, M, rng.generator(_COUNTS))
+    counts = np.bincount(assign_label(ranks, K, L) - 1, minlength=L)
+    return BinCounts(counts=counts, n=n, L=L, K=K, M=M)
+
+
+def _ranks(samples, score, model, px, M, gen) -> np.ndarray:
+    n = len(samples)
+    y, eta_hat = _labels(samples)
+    eta = None
+    if score.needs_eta:
+        if any(s.eta is None for s in samples):
+            raise ValueError("oracle score requires samples with true eta set")
+        eta = np.fromiter((s.eta for s in samples), dtype=float, count=n)
+    w = _w_from_uniform(gen.uniform(size=n), y, eta_hat)
+    w_cf = gen.uniform(size=(n, M))
+    paired = px.mode == "paired"
+    V = score.directions(samples[0].x.size if paired else px.dim)
+    k = V.shape[1]
+    xv = np.zeros((n, 0))
+    if k:
+        x = np.stack([s.x for s in samples])
+        if x.shape[1] != V.shape[0]:
+            raise ValueError(
+                f"score reads {V.shape[0]}-dimensional features, samples have {x.shape[1]}"
             )
-            t_cf = score.evaluate(x_cf, w_cf, eta_hat_cf, eta_cf)
-        r = rank(t_orig, t_cf)
-        counts[assign_label(r, K, L) - 1] += 1
-    return BinCounts(counts=counts, n=len(samples), L=L, K=K, M=M)
+        xv = x @ V
+    t_orig = score.evaluate(xv, w, eta_hat, eta)
+    block = _paired(xv, eta_hat, eta) if paired else _fresh(score, model, px, V, gen)
+    ranks = np.empty(n, dtype=np.int64)
+    rows = max(1, _BLOCK // max(1, M * max(k, 1)))
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        m = (hi - lo) * M
+        x_cf, eta_hat_cf, eta_cf = block(lo, hi, M)
+        t_cf = score.evaluate(
+            x_cf.reshape(m, k),
+            w_cf[lo:hi].reshape(m),
+            eta_hat_cf.reshape(m),
+            None if eta_cf is None else eta_cf.reshape(m),
+        )
+        ranks[lo:hi] = rank(t_orig[lo:hi], t_cf.reshape(hi - lo, M))
+    return ranks
+
+
+def _paired(xv, eta_hat, eta):
+    """Counterfeits of samples lo..hi at their sample's own projections,
+    eta_hat and eta."""
+
+    def block(lo, hi, M):
+        def spread(a):
+            return np.broadcast_to(a[lo:hi, None], (hi - lo, M) + a.shape[1:])
+
+        return spread(xv), spread(eta_hat), None if eta is None else spread(eta)
+
+    return block
+
+
+def _fresh(score, model, px, V, gen):
+    """Counterfeits of samples lo..hi at fresh features x_tilde ~ P_X, drawn
+    as the projections x_tilde @ [V, theta_1, theta_0] the score reads."""
+    k = V.shape[1]
+    cols = [V]
+    i_hat = i_eta = None
+    if score.needs_eta_hat:
+        i_hat = k
+        cols.append(model.direction[:, None])
+    if score.needs_eta:
+        if score.truth is None:
+            raise ValueError(f"score {score.kind!r} needs the true model to score counterfeit features")
+        truth = score.truth.direction
+        if i_hat is not None and np.array_equal(truth, model.direction):
+            i_eta = i_hat  # one column, so eta equals eta_hat as on the originals
+        else:
+            i_eta = k + len(cols) - 1  # after V and theta_1, if drawn
+            cols.append(truth[:, None])
+    V_all = np.hstack(cols)
+    draw = px.projector(V_all) if V_all.shape[1] else None
+
+    def block(lo, hi, M):
+        shape = (hi - lo, M)
+        z = draw(gen, shape) if draw else np.zeros(shape + (0,))
+        eta_hat_cf = np.zeros(shape) if i_hat is None else sigmoid(z[..., i_hat])
+        eta_cf = None if i_eta is None else sigmoid(z[..., i_eta])
+        return z[..., :k], eta_hat_cf, eta_cf
+
+    return block

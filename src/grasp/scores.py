@@ -29,14 +29,12 @@ __all__ = [
 
 
 def sigmoid(z):
-    """Numerically stable logistic function."""
-    arr = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return float(out[0]) if np.ndim(z) == 0 else out
+    """Numerically stable logistic function: 1/(1 + e^-z) for z >= 0 and
+    e^z/(1 + e^z) below."""
+    z = np.asarray(z, dtype=float)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if out.ndim == 0 else out
 
 # Clamp applied to eta_hat inside score formulas only; stored data is never
 # altered, this just guards the divisions at eta_hat in {0, 1}.
@@ -120,28 +118,38 @@ class ProbModel:
     def logistic_linear(cls, theta: np.ndarray) -> "ProbModel":
         return cls(kind="logistic_linear", theta=np.asarray(theta, dtype=float))
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
+    @property
+    def direction(self) -> np.ndarray:
+        """theta: the model reads x only through x.theta."""
         if self.kind != "logistic_linear":
             raise ValueError(f"model kind {self.kind!r} cannot score fresh features")
+        return self.theta
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
-        return sigmoid(x @ self.theta)
+        return sigmoid(x @ self.direction)
 
 
 @dataclass(frozen=True)
 class ScoreFn:
     """A score function with the metadata the pipelines need.
 
-    ``evaluate`` is vectorized over candidates: x has shape (m, d), the
-    remaining arguments shape (m,).  External scores bypass evaluation and
-    are looked up by (sample_index, candidate_index) with index 0 meaning
-    the original.
+    A score reads the features only through the linear functionals
+    ``directions(d)``: none for identity, agnostic and oracle (which see x
+    through eta_hat and eta alone), theta for the residual score, and all of
+    x (the identity matrix) for custom scores.  ``evaluate`` is vectorized
+    over candidates: x holds the candidates' projections ``x @
+    directions(d)``, shape (m, k), the remaining arguments shape (m,).
+    The oracle's ``truth`` is the true model, needed where counterfeits get
+    fresh features.  External scores bypass evaluation and are looked up by
+    (sample_index, candidate_index) with index 0 meaning the original.
     """
 
     kind: str
     theta: Optional[np.ndarray] = None
-    eta_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    truth: Optional[ProbModel] = None
     table: Optional[Dict[Tuple[int, int], float]] = None
     fn: Optional[Callable] = None
     needs: frozenset = frozenset()
@@ -155,8 +163,8 @@ class ScoreFn:
         return cls(kind="agnostic")
 
     @classmethod
-    def oracle(cls, eta_fn: Optional[Callable] = None) -> "ScoreFn":
-        return cls(kind="oracle", eta_fn=eta_fn)
+    def oracle(cls, truth: Optional[ProbModel] = None) -> "ScoreFn":
+        return cls(kind="oracle", truth=truth)
 
     @classmethod
     def linear_residual(cls, theta: np.ndarray) -> "ScoreFn":
@@ -187,10 +195,13 @@ class ScoreFn:
             return "eta" in self.needs
         return self.kind == "oracle"
 
-    def oracle_eta(self, x: np.ndarray) -> np.ndarray:
-        if self.eta_fn is None:
-            raise ValueError("oracle score needs an eta callable for fresh features")
-        return np.asarray(self.eta_fn(x), dtype=float)
+    def directions(self, d: int) -> np.ndarray:
+        """The (d, k) matrix whose columns are the functionals of x read."""
+        if self.kind == "residual":
+            return self.theta[:, None]
+        if self.kind == "custom":
+            return np.eye(d)
+        return np.zeros((d, 0))
 
     def external_lookup(self, sample_index: int, cand_index: int) -> float:
         try:
@@ -199,6 +210,10 @@ class ScoreFn:
             raise ValueError(
                 f"external score table missing entry ({sample_index}, {cand_index})"
             ) from None
+
+    def external_scores(self, n: int, m: int) -> np.ndarray:
+        """The table as an (n, m) array; raises on the first missing entry."""
+        return np.array([[self.external_lookup(j, i) for i in range(m)] for j in range(n)])
 
     def evaluate(
         self,
@@ -214,7 +229,7 @@ class ScoreFn:
         if self.kind == "oracle":
             return score_optimal_oracle(eta, eta_hat, w)
         if self.kind == "residual":
-            return score_linear_residual(self.theta, x, w)
+            return np.abs(np.asarray(w, dtype=float) - x[:, 0])
         if self.kind == "custom":
             return np.asarray(self.fn(x, w, eta_hat, eta), dtype=float)
         raise ValueError(f"score kind {self.kind!r} cannot be evaluated directly")

@@ -379,6 +379,8 @@ def solve_u_stat(
         value = _objective(v, n, c, q)
         if value < upper:
             upper, best = value, q
+        # the bounds meet at U_tau; rounding must not leave lower above upper
+        lower = min(lower, upper)
         if certify_threshold is None:
             done = upper - lower <= cfg.gap_tol
         else:

@@ -181,3 +181,30 @@ def test_residual_score_df_runs():
     )
     rows = run_size_table(spec)
     assert rows[0].trials == 2
+
+
+def test_tau0_projection_matches_full_feature_draws():
+    # tau0_monte_carlo draws (x.theta0, x.theta1); drawing all of x must
+    # give the same expectation
+    theta0 = make_theta0(6, 0.8, RngStream(5, 0))
+    est, se = tau0_monte_carlo(theta0, -0.5 * theta0, KL, 200_000, RngStream(5, 1))
+    x = np.random.default_rng(6).standard_normal((200_000, 6))
+    p, q = sigmoid(x @ theta0), sigmoid(x @ (-0.5 * theta0))
+    vals = p * np.log(p / q) + (1 - p) * np.log((1 - p) / (1 - q))
+    full_se = float(np.std(vals)) / np.sqrt(vals.size)
+    assert abs(est - float(np.mean(vals))) < 4.0 * np.hypot(se, full_se)
+
+
+def test_modelx_scores_reading_two_directions_run():
+    # oracle: (x.theta1, x.theta0) with theta1 = -2 theta0 is singular;
+    # residual: the score's own theta, no model needed
+    common = dict(n=300, d=4, L=5, K=2, trials=2, mode="modelx")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = run_power_table(ExperimentSpec(
+            seed=18, score="oracle", theta1_rule="negated_scaled", theta1_scale=2.0,
+            tau_grid=(0.1,), **common,
+        ))
+    assert rows[0].rejection_rate_asym in (0.0, 0.5, 1.0)
+    rows = run_size_table(ExperimentSpec(seed=19, score="residual", aux_size=200, **common))
+    assert rows[0].trials == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from grasp.inference import chi2_quantile
 from grasp.sampling import (
@@ -14,7 +15,8 @@ from grasp.sampling import (
     grasp_counts_simple,
     rank,
 )
-from grasp.scores import ProbModel, ScoreFn
+from grasp import sampling
+from grasp.scores import ProbModel, ScoreFn, score_agnostic_modelx, sigmoid
 
 
 def _sample(y, eta_hat, x=None, eta=None):
@@ -110,6 +112,9 @@ def test_counts_sum_and_determinism_df():
     assert np.array_equal(c1.counts, c2.counts)
     c3 = grasp_counts_df(samples, ScoreFn.identity(), L=3, K=2, rng=RngStream(6))
     assert c1.n == c3.n == 7
+    # K = L = 1 leaves no counterfeits: every sample has rank 1
+    c4 = grasp_counts_df(samples, ScoreFn.agnostic(), L=1, K=1, rng=RngStream(6))
+    assert c4.M == 0 and c4.counts.tolist() == [7]
 
 
 def test_simple_binning_convention():
@@ -155,6 +160,8 @@ def test_modelx_counts_sum_and_boundary_score():
     )
     assert int(counts.counts.sum()) == 50
     assert counts.M == 9
+    single = grasp_counts_modelx(samples, ScoreFn.agnostic(), model, px, L=1, K=1, rng=RngStream(3))
+    assert single.counts.tolist() == [50]
 
 
 def test_modelx_reduces_to_df_with_paired_features():
@@ -178,9 +185,15 @@ def test_modelx_needs_model_for_agnostic():
 def test_empirical_pool_sampler():
     pool = np.arange(12.0).reshape(6, 2)
     px = FeatureSampler.empirical_pool(pool)
-    draws = px.draw(RngStream(4).generator(), 100, pool[0])
+    # with V = I the projections are the drawn rows themselves
+    draws = px.projector(np.eye(2))(RngStream(4).generator(), (100,))
     assert draws.shape == (100, 2)
     assert all(any(np.array_equal(row, p) for p in pool) for row in draws[:10])
+    # a projection is the projection of a pool row
+    theta = np.array([0.5, -2.0])
+    proj = px.projector(theta[:, None])(RngStream(4).generator(), (10, 7))
+    assert proj.shape == (10, 7, 1)
+    assert set(proj.ravel().tolist()) <= set((pool @ theta).tolist())
     with pytest.raises(ValueError):
         FeatureSampler.empirical_pool(np.empty((0, 2)))
 
@@ -203,3 +216,120 @@ def test_eval_sample_validation():
         EvalSample(x=np.array([0.0]), y=2, eta_hat=0.5)
     with pytest.raises(ValueError):
         EvalSample(x=np.array([0.0]), y=1, eta_hat=1.5)
+
+
+def _logistic_samples(n, theta0, theta1, seed):
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(n, theta0.size))
+    eta = sigmoid(x @ theta0)
+    y = (gen.uniform(size=n) < eta).astype(int)
+    eta_hat = sigmoid(x @ theta1)
+    return [
+        EvalSample(x=x[j], y=int(y[j]), eta_hat=float(eta_hat[j]), eta=float(eta[j]))
+        for j in range(n)
+    ]
+
+
+def test_projected_counts_follow_the_full_draw_law():
+    # the agnostic score reads counterfeit features only through x.theta1;
+    # a custom score that computes eta_hat from all of x draws full rows
+    # (V = I_d), so both pipelines must give counts of one law
+    theta0 = np.array([1.2, -0.7, 0.4])
+    theta1 = -0.8 * theta0
+    n, L = 20_000, 10
+    samples = _logistic_samples(n, theta0, theta1, seed=40)
+    model = ProbModel.logistic_linear(theta1)
+    px = FeatureSampler.gaussian_iso(np.zeros(3), 1.0)
+    full = ScoreFn.custom(lambda x, w, eta_hat, eta: score_agnostic_modelx(sigmoid(x @ theta1), w))
+    projected = grasp_counts_modelx(samples, ScoreFn.agnostic(), model, px, L, 1, RngStream(41))
+    drawn = grasp_counts_modelx(samples, full, model, px, L, 1, RngStream(42))
+    assert chi2_contingency(np.stack([projected.counts, drawn.counts]))[1] > 1e-4
+    # the same comparison sees a counterfeit law off by a feature scale of 1.5
+    wide = FeatureSampler.gaussian_iso(np.zeros(3), 1.5)
+    off = grasp_counts_modelx(samples, full, model, wide, L, 1, RngStream(43))
+    assert chi2_contingency(np.stack([projected.counts, off.counts]))[1] < 1e-6
+
+
+def test_oracle_score_with_negated_model_has_singular_covariance():
+    # theta1 = -theta0: (x.theta1, x.theta0) has a singular covariance
+    theta0 = np.array([0.9, 0.3, -0.5])
+    samples = _logistic_samples(300, theta0, -theta0, seed=44)
+    score = ScoreFn.oracle(ProbModel.logistic_linear(theta0))
+    model = ProbModel.logistic_linear(-theta0)
+    px = FeatureSampler.gaussian_iso(np.zeros(3), 1.0)
+    counts = grasp_counts_modelx(samples, score, model, px, L=5, K=2, rng=RngStream(45))
+    assert int(counts.counts.sum()) == 300
+    z = px.projector(np.column_stack([-theta0, theta0]))(RngStream(46).generator(), (1000,))
+    assert np.allclose(z[:, 0], -z[:, 1], atol=1e-9)
+    assert np.std(z[:, 1]) == pytest.approx(np.linalg.norm(theta0), rel=0.1)
+
+
+def test_oracle_score_needs_the_true_model_for_fresh_features():
+    samples = _null_samples(5, seed=47)
+    model = ProbModel.logistic_linear(np.array([0.3, -0.2]))
+    px = FeatureSampler.gaussian_iso(np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="true model"):
+        grasp_counts_modelx(samples, ScoreFn.oracle(), model, px, L=2, K=1, rng=RngStream(0))
+    # paired counterfeits reuse each sample's own eta
+    counts = grasp_counts_df(samples, ScoreFn.oracle(), L=2, K=1, rng=RngStream(0))
+    assert int(counts.counts.sum()) == 5
+
+
+def test_external_score_missing_entry_raises_in_pipeline():
+    samples = _null_samples(3, seed=8)
+    table = {(j, i): float(i) for j in range(3) for i in range(6)}
+    del table[(1, 3)]
+    with pytest.raises(ValueError, match=r"missing entry \(1, 3\)"):
+        grasp_counts_df(samples, ScoreFn.external(table), L=3, K=2, rng=RngStream(11))
+
+
+def test_counts_do_not_depend_on_the_block_size(monkeypatch):
+    theta = np.array([0.3, -0.2])
+    samples = _null_samples(300, seed=48)
+    model = ProbModel.logistic_linear(theta)
+    residual = ScoreFn.linear_residual(theta)
+    pool = np.random.default_rng(49).normal(size=(40, 2))
+    cases = [
+        (ScoreFn.agnostic(), FeatureSampler.gaussian_iso(np.zeros(2), 1.0)),
+        (ScoreFn.agnostic(), FeatureSampler.empirical_pool(pool)),
+        (residual, FeatureSampler.gaussian_iso(np.zeros(2), 1.0)),
+        (residual, FeatureSampler.paired_original()),
+    ]
+    before = [grasp_counts_modelx(samples, s, model, px, 4, 2, RngStream(50)) for s, px in cases]
+    monkeypatch.setattr(sampling, "_BLOCK", 7 * 7)  # 7 rows of 7 counterfeits a block
+    after = [grasp_counts_modelx(samples, s, model, px, 4, 2, RngStream(50)) for s, px in cases]
+    for b, a in zip(before, after):
+        assert np.array_equal(b.counts, a.counts)
+
+
+def test_pipelines_match_a_per_sample_loop():
+    # reference loop over the documented draw order, all from one generator:
+    # w (n,), then w~ (n, M), then the features' projections (n, M, 1)
+    samples = _null_samples(200, seed=51)
+    n, L, K = len(samples), 5, 2
+    M = K * L - 1
+    theta = np.array([0.3, -0.2])
+    gen = RngStream(52).generator(sampling._COUNTS)
+    u, w_cf = gen.uniform(size=n), gen.uniform(size=(n, M))
+    z = gen.standard_normal((n, M)) * np.linalg.norm(theta)
+    simple = np.zeros(L, dtype=np.int64)
+    ranked = np.zeros(L, dtype=np.int64)
+    modelx = np.zeros(L, dtype=np.int64)
+    for j, s in enumerate(samples):
+        w = u[j] * s.eta_hat if s.y == 1 else s.eta_hat + u[j] * (1.0 - s.eta_hat)
+        simple[min(max(1, int(np.ceil(w * L))), L) - 1] += 1
+        r = 1 + sum(w >= v for v in w_cf[j])
+        ranked[(r + K - 1) // K - 1] += 1
+        t = score_agnostic_modelx(s.eta_hat, w)
+        r = 1 + sum(t >= v for v in score_agnostic_modelx(sigmoid(z[j]), w_cf[j]))
+        modelx[(r + K - 1) // K - 1] += 1
+    assert np.array_equal(grasp_counts_simple(samples, L, RngStream(52)).counts, simple)
+    counts = grasp_counts_df(samples, ScoreFn.identity(), L, K, RngStream(52))
+    assert np.array_equal(counts.counts, ranked)
+    model = ProbModel.logistic_linear(theta)
+    px = FeatureSampler.gaussian_iso(np.zeros(2), 1.0)
+    counts = grasp_counts_modelx(samples, ScoreFn.agnostic(), model, px, L, K, RngStream(52))
+    assert np.array_equal(counts.counts, modelx)
+    first = samples[0]
+    w0 = u[0] * first.eta_hat if first.y == 1 else first.eta_hat + u[0] * (1.0 - first.eta_hat)
+    assert draw_w(first, RngStream(52)) == w0

@@ -331,6 +331,17 @@ def test_decisions_follow_bounds():
             assert u_stat_exceeds("finite", V, 0.3, thr, div) is expected
 
 
+def test_lower_bound_never_exceeds_value_under_rounding():
+    # at gap_tol=1e-12 the dual value rounded up to 2.3e-12 above the
+    # feasible objective (9e-13 at tau=0.05); a threshold between them would
+    # be both rejected and accepted
+    V = np.array(TV_COUNTS, dtype=float)
+    for tau in (0.1, 0.05):
+        res = solve_u_stat("finite", V, tau, TV, SolverConfig(gap_tol=1e-12))
+        assert res.lower <= res.value
+        assert res.gap >= 0.0
+
+
 _instances = st.tuples(
     st.lists(st.integers(0, 60), min_size=2, max_size=3).filter(lambda v: sum(v) > 0),
     # the 0.002-step grid oracle is itself off by more than its tolerance
