@@ -14,7 +14,9 @@ invocations (flags, files, seed) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from dataclasses import asdict
 from typing import Optional
 
 from . import __version__
@@ -51,10 +53,12 @@ def _write(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _provenance(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    flags = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    return {"version": __version__, "flags": flags}
+def _write_payload(args: argparse.Namespace, payload: dict) -> int:
+    """Write a JSON payload with its provenance: the version and every flag."""
+    flags = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    payload["provenance"] = {"version": __version__, "flags": flags}
+    _write(dump_json(payload), args.out)
+    return EXIT_OK
 
 
 def _make_score(args: argparse.Namespace) -> ScoreFn:
@@ -81,50 +85,52 @@ def _variants(token: str):
     raise InputError("--variant must be finite, asym, or both")
 
 
-def _outcome_payload(outcomes: dict, args: argparse.Namespace) -> dict:
-    payload: dict
-    if len(outcomes) == 1:
-        payload = next(iter(outcomes.values()))
-    else:
-        payload = dict(outcomes)
-    payload["provenance"] = _provenance(args)
-    return payload
+def _write_per_variant(args: argparse.Namespace, result) -> int:
+    """Write result(variant) for each --variant: the one result, or all of
+    them keyed by variant."""
+    results = {variant: result(variant) for variant in _variants(args.variant)}
+    return _write_payload(args, next(iter(results.values())) if len(results) == 1 else results)
 
 
-def _counts_from_args(args: argparse.Namespace, samples):
-    """Fixed-feature counts: the simple pipeline for the identity score,
-    else the ranked one with --K."""
+def _counts_from_args(args: argparse.Namespace, samples, px, model):
+    """Counts for --score.  With fixed features (px None): the simple
+    pipeline for the identity score, else the ranked one with --K.  With a
+    feature sampler px: the ranked pipeline with counterfeit features from
+    px, where model gives eta_hat."""
     rng = RngStream(args.seed)
     score = _make_score(args)
-    if args.score == "identity":
+    if px is None and args.score == "identity":
         return grasp_counts_simple(samples, args.L, rng)
     if args.K is None:
         raise InputError(f"--score {args.score} requires --K")
-    return grasp_counts_df(samples, score, args.L, args.K, rng)
+    if px is None:
+        return grasp_counts_df(samples, score, args.L, args.K, rng)
+    if model is None and "eta_hat" in score.reads:
+        raise InputError(
+            f"--score {args.score} needs eta_hat at counterfeit features; pass --theta "
+            "(logistic coefficients) or use --score identity"
+        )
+    return grasp_counts_modelx(samples, score, model, px, args.L, args.K, rng)
 
 
 def _write_outcomes(args: argparse.Namespace, counts, div) -> int:
-    outcomes = {}
-    for variant in _variants(args.variant):
-        outcome = evaluate_counts(
+    return _write_per_variant(
+        args,
+        lambda variant: evaluate_counts(
             variant, counts, args.tau, div, args.alpha, SolverConfig(), seed=args.seed
-        )
-        outcomes[variant] = outcome.to_json_dict()
-    _write(dump_json(_outcome_payload(outcomes, args)), args.out)
-    return EXIT_OK
+        ).to_json_dict(),
+    )
 
 
 def cmd_test(args: argparse.Namespace) -> int:
     samples = read_samples_csv(args.input)
     div = get_divergence(args.divergence)
-    return _write_outcomes(args, _counts_from_args(args, samples), div)
+    return _write_outcomes(args, _counts_from_args(args, samples, None, None), div)
 
 
 def cmd_modelx_test(args: argparse.Namespace) -> int:
     samples = read_samples_csv(args.input)
     div = get_divergence(args.divergence)
-    rng = RngStream(args.seed)
-    score = _make_score(args)
     if args.pool is None:
         raise InputError("modelx-test requires --pool (unlabeled feature CSV)")
     pool = read_pool_csv(args.pool)
@@ -132,18 +138,10 @@ def cmd_modelx_test(args: argparse.Namespace) -> int:
         raise InputError(
             f"pool feature dimension {pool.shape[1]} != sample dimension {samples[0].x.size}"
         )
-    px = FeatureSampler.empirical_pool(pool)
-    model = None
-    if score.needs_eta_hat:
-        if args.theta is None:
-            raise InputError(
-                f"--score {args.score} needs eta_hat at counterfeit features; pass --theta "
-                "(logistic coefficients) or use --score identity"
-            )
-        model = ProbModel.logistic_linear(read_theta(args.theta))
-    if args.K is None:
-        raise InputError("modelx-test requires --K")
-    counts = grasp_counts_modelx(samples, score, model, px, args.L, args.K, rng)
+    # --theta is the model under test, read only by scores that read eta_hat
+    # (the residual score takes its own coefficients from the same flag)
+    model = None if args.theta is None else ProbModel.logistic_linear(read_theta(args.theta))
+    counts = _counts_from_args(args, samples, FeatureSampler.empirical_pool(pool), model)
     return _write_outcomes(args, counts, div)
 
 
@@ -154,26 +152,16 @@ def cmd_perfect_fit(args: argparse.Namespace) -> int:
     rng = RngStream(args.seed)
     dscore = DatasetScoreFn.linear_mse(ridge=args.ridge)
     outcome = perfect_fit_test(samples, args.M, dscore, rng, alpha=args.alpha)
-    payload = outcome.to_json_dict()
-    payload["provenance"] = _provenance(args)
-    _write(dump_json(payload), args.out)
-    return EXIT_OK
+    return _write_payload(args, outcome.to_json_dict())
 
 
 def cmd_ci(args: argparse.Namespace) -> int:
     samples = read_samples_csv(args.input)
     div = get_divergence(args.divergence)
-    counts = _counts_from_args(args, samples)
-    bounds = {}
-    for variant in _variants(args.variant):
-        bound = ci_lower(variant, counts, args.alpha, div, SolverConfig())
-        bounds[variant] = {
-            "tau_lower": bound.tau_lower,
-            "alpha": bound.alpha,
-            "variant": bound.variant,
-        }
-    _write(dump_json(_outcome_payload(bounds, args)), args.out)
-    return EXIT_OK
+    counts = _counts_from_args(args, samples, None, None)
+    return _write_per_variant(
+        args, lambda variant: asdict(ci_lower(variant, counts, args.alpha, div, SolverConfig()))
+    )
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -205,10 +193,8 @@ def cmd_tau0(args: argparse.Namespace) -> int:
         "samples": args.samples,
         "d": int(theta0.size),
         "theta1_rule": args.theta1_rule,
-        "provenance": _provenance(args),
     }
-    _write(dump_json(payload), args.out)
-    return EXIT_OK
+    return _write_payload(args, payload)
 
 
 def _add_common_test_flags(p: argparse.ArgumentParser) -> None:
@@ -309,6 +295,9 @@ def main(argv=None) -> int:
 
 
 def _validate_common(args: argparse.Namespace) -> None:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InputError(f"--{name.replace('_', '-')} must be finite")
     alpha = getattr(args, "alpha", None)
     if alpha is not None and not 0.0 < alpha < 1.0:
         raise InputError("--alpha must lie strictly inside (0, 1)")

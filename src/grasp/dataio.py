@@ -10,8 +10,10 @@ TOML-compatible subset: numbers, booleans, quoted strings, and flat lists).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+import math
 import re
 from typing import Dict, List, Tuple
 
@@ -72,6 +74,8 @@ def read_samples_csv(path: str) -> List[EvalSample]:
                 raise InputError(f"{path}: malformed row at line {line_no}") from None
             if y not in (0, 1):
                 raise InputError(f"{path}: line {line_no}: y must be 0 or 1")
+            if not np.isfinite(x).all():
+                raise InputError(f"{path}: line {line_no}: non-finite feature value")
             if not 0.0 <= eta_hat <= 1.0:
                 raise InputError(
                     f"{path}: line {line_no}: probability out of range: eta_hat={eta_hat}"
@@ -99,7 +103,11 @@ def read_pool_csv(path: str) -> np.ndarray:
                 raise InputError(f"{path}: malformed row at line {line_no}") from None
     if not rows:
         raise InputError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    pool = np.asarray(rows, dtype=float)
+    finite = np.isfinite(pool).all(axis=1)
+    if not finite.all():
+        raise InputError(f"{path}: line {int(np.argmin(finite)) + 2}: non-finite feature value")
+    return pool
 
 
 def read_scores_csv(path: str) -> Dict[Tuple[int, int], float]:
@@ -118,6 +126,8 @@ def read_scores_csv(path: str) -> Dict[Tuple[int, int], float]:
                 table[key] = float(row["score"])
             except (TypeError, ValueError):
                 raise InputError(f"{path}: malformed row at line {line_no}") from None
+            if not math.isfinite(table[key]):
+                raise InputError(f"{path}: line {line_no}: non-finite score")
     if not table:
         raise InputError(f"{path}: no data rows")
     return table
@@ -135,6 +145,8 @@ def read_theta(path: str) -> np.ndarray:
                 values.append(float(text))
             except ValueError:
                 raise InputError(f"{path}: line {line_no}: not a number: {text!r}") from None
+            if not math.isfinite(values[-1]):
+                raise InputError(f"{path}: line {line_no}: non-finite coefficient: {text!r}")
     if not values:
         raise InputError(f"{path}: no coefficients found")
     return np.asarray(values, dtype=float)
@@ -183,25 +195,7 @@ def parse_flat_config(text: str) -> dict:
     return out
 
 
-_SPEC_KEYS = {
-    "n",
-    "d",
-    "L",
-    "trials",
-    "seed",
-    "sigma_theta",
-    "theta1_rule",
-    "theta1_scale",
-    "K",
-    "divergence",
-    "tau_grid",
-    "alphas",
-    "mode",
-    "score",
-    "variants",
-    "aux_size",
-    "extended",
-}
+_SPEC_KEYS = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"solver"}
 
 
 def spec_from_config(cfg: dict) -> Tuple[str, ExperimentSpec]:

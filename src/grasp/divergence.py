@@ -160,53 +160,19 @@ def f_eval(div: FDivergence, t) -> float:
     return float(out) if np.ndim(t) == 0 else out
 
 
-def _kl_bern(a: float, b: float) -> float:
-    def term(p: float, q: float) -> float:
-        if p == 0.0:
-            return 0.0
-        if q == 0.0:
-            return math.inf
-        return p * math.log(p / q)
-
-    return term(a, b) + term(1.0 - a, 1.0 - b)
-
-
 def bernoulli_divergence(div: FDivergence, pair: BernoulliPair) -> float:
-    """D_f between Bernoulli(a) and Bernoulli(b).
-
-    Built-in kinds use exact closed forms (TV reduces to |a - b|, KL to the
-    cross-entropy excess, Hellinger to the squared-root differences), which
-    also cover the degenerate b in {0, 1} by continuous extension.
-    """
-    a, b = pair.a, pair.b
-    if div.kind == "tv":
-        return abs(a - b)
-    if div.kind == "kl":
-        return _kl_bern(a, b)
-    if div.kind == "hellinger":
-        return (math.sqrt(a) - math.sqrt(b)) ** 2 + (
-            math.sqrt(1.0 - a) - math.sqrt(1.0 - b)
-        ) ** 2
-    return _generic_bern(div, a, b)
-
-
-def _generic_bern(div: FDivergence, a: float, b: float) -> float:
-    def term(p: float, q: float) -> float:
-        # q * f(p/q); for q -> 0 the limit is p * lim f(t)/t.
-        if q > 0.0:
-            return q * float(div.f(np.asarray(p / q)))
-        if p == 0.0:
-            return 0.0
-        slope = div.recession_slope
-        if slope is None:
-            slope = float(div.f(np.asarray(1e12))) / 1e12
-        return p * slope
-
-    return term(a, b) + term(1.0 - a, 1.0 - b)
+    """D_f between Bernoulli(a) and Bernoulli(b); see bernoulli_divergence_many."""
+    return float(bernoulli_divergence_many(div, pair.a, pair.b))
 
 
 def bernoulli_divergence_many(div: FDivergence, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized D_f(Bern(a_i) || Bern(b_i)) for probability arrays."""
+    """Vectorized D_f(Bern(a_i) || Bern(b_i)) for probability arrays.
+
+    Built-in kinds use exact closed forms (TV reduces to |a - b|, KL to the
+    cross-entropy excess, Hellinger to the squared-root differences); other
+    kinds sum q f(p/q) over both outcomes.  Both cover the degenerate
+    b in {0, 1} by continuous extension.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if div.kind == "tv":
@@ -220,9 +186,18 @@ def bernoulli_divergence_many(div: FDivergence, a: np.ndarray, b: np.ndarray) ->
         return xlogx_over(a, b) + xlogx_over(1.0 - a, 1.0 - b)
     if div.kind == "hellinger":
         return (np.sqrt(a) - np.sqrt(b)) ** 2 + (np.sqrt(1 - a) - np.sqrt(1 - b)) ** 2
-    return np.array(
-        [_generic_bern(div, float(ai), float(bi)) for ai, bi in zip(np.ravel(a), np.ravel(b))]
-    ).reshape(a.shape)
+    slope = div.recession_slope
+    if slope is None:
+        slope = float(div.f(np.asarray(1e12))) / 1e12
+
+    def term(p, q):
+        # q * f(p/q); for q -> 0 the limit is p * lim f(t)/t, and 0 where p = 0 too.
+        safe = np.where(q > 0, q, 1.0)
+        with np.errstate(invalid="ignore"):  # 0 * inf, discarded
+            limit = np.where(p > 0, p * slope, 0.0)
+        return np.where(q > 0, safe * div.f(p / safe), limit)
+
+    return term(a, b) + term(1.0 - a, 1.0 - b)
 
 
 def discrete_divergence_to_uniform(div: FDivergence, p) -> float:

@@ -49,6 +49,8 @@ __all__ = [
 
 # Desk-scale cap; larger n is allowed only in extended mode.
 _N_CAP = 20_000
+# Monte-Carlo draws of tau0_monte_carlo per block: bounds its memory.
+_TAU0_BLOCK = 20_000
 
 _THETA_RULES = ("same", "negated", "negated_scaled")
 _MODES = ("df", "modelx")
@@ -163,7 +165,6 @@ def tau0_monte_carlo(
     div: FDivergence,
     samples: int,
     rng: RngStream,
-    block: int = 20_000,
 ) -> Tuple[float, float]:
     """Monte-Carlo estimate (with standard error) of the expected Bernoulli
     divergence between the two logistic models over x ~ N(0, I_d).
@@ -183,7 +184,7 @@ def tau0_monte_carlo(
     total_sq = 0.0
     done = 0
     while done < samples:
-        m = min(block, samples - done)
+        m = min(_TAU0_BLOCK, samples - done)
         z = draw(gen, (m,))
         vals = bernoulli_divergence_many(div, sigmoid(z[:, 0]), sigmoid(z[:, -1]))
         total += float(vals.sum())

@@ -279,11 +279,11 @@ def grasp_counts_modelx(
     _require_samples(samples)
     if K < 1 or L < 1:
         raise ValueError("K and L must be >= 1")
-    if score.needs_eta_hat and model is None and px.mode != "paired":
+    if "eta_hat" in score.reads and model is None and px.mode != "paired":
         raise ValueError(f"score {score.kind!r} needs a model to score counterfeit features")
     M = K * L - 1
     n = len(samples)
-    if score.is_external:
+    if score.table is not None:
         t = score.external_scores(n, M + 1)
         ranks = rank(t[:, 0], t[:, 1:])
     else:
@@ -296,9 +296,9 @@ def _ranks(samples, score, model, px, M, gen) -> np.ndarray:
     n = len(samples)
     y, eta_hat = _labels(samples)
     eta = None
-    if score.needs_eta:
+    if "eta" in score.reads:
         if any(s.eta is None for s in samples):
-            raise ValueError("oracle score requires samples with true eta set")
+            raise ValueError(f"score {score.kind!r} requires samples with true eta set")
         eta = np.fromiter((s.eta for s in samples), dtype=float, count=n)
     w = _w_from_uniform(gen.uniform(size=n), y, eta_hat)
     w_cf = gen.uniform(size=(n, M))
@@ -350,14 +350,14 @@ def _fresh(score, model, px, V, gen):
     k = V.shape[1]
     cols = [V]
     i_hat = i_eta = None
-    if score.needs_eta_hat:
+    if "eta_hat" in score.reads:
         i_hat = k
-        cols.append(model.direction[:, None])
-    if score.needs_eta:
+        cols.append(model.theta[:, None])
+    if "eta" in score.reads:
         if score.truth is None:
             raise ValueError(f"score {score.kind!r} needs the true model to score counterfeit features")
-        truth = score.truth.direction
-        if i_hat is not None and np.array_equal(truth, model.direction):
+        truth = score.truth.theta
+        if i_hat is not None and np.array_equal(truth, model.theta):
             i_eta = i_hat  # one column, so eta equals eta_hat as on the originals
         else:
             i_eta = k + len(cols) - 1  # after V and theta_1, if drawn

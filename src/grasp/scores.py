@@ -104,104 +104,91 @@ def fit_linear_score(
 
 @dataclass(frozen=True)
 class ProbModel:
-    """The classifier under test as a callable on feature rows.
+    """The logistic-linear classifier under test: 1/(1 + exp(-x.theta))."""
 
-    ``logistic_linear`` evaluates 1/(1 + exp(-x.theta)); ``score_column``
-    binds precomputed per-sample scores and cannot be evaluated at fresh
-    counterfeit features.
-    """
-
-    kind: str
-    theta: Optional[np.ndarray] = None
+    theta: np.ndarray
 
     @classmethod
     def logistic_linear(cls, theta: np.ndarray) -> "ProbModel":
-        return cls(kind="logistic_linear", theta=np.asarray(theta, dtype=float))
-
-    @property
-    def direction(self) -> np.ndarray:
-        """theta: the model reads x only through x.theta."""
-        if self.kind != "logistic_linear":
-            raise ValueError(f"model kind {self.kind!r} cannot score fresh features")
-        return self.theta
+        return cls(theta=np.asarray(theta, dtype=float))
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
-        return sigmoid(x @ self.direction)
+        return sigmoid(x @ self.theta)
 
 
 @dataclass(frozen=True)
 class ScoreFn:
-    """A score function with the metadata the pipelines need.
+    """A score T(x, w) as plain data: its function and what it reads.
 
-    A score reads the features only through the linear functionals
-    ``directions(d)``: none for identity, agnostic and oracle (which see x
-    through eta_hat and eta alone), theta for the residual score, and all of
-    x (the identity matrix) for custom scores.  ``evaluate`` is vectorized
-    over candidates: x holds the candidates' projections ``x @
-    directions(d)``, shape (m, k), the remaining arguments shape (m,).
+    ``fn(x, w, eta_hat, eta)`` is vectorized over candidates.  ``reads``
+    names the inputs the score looks at besides w, drawn from "x",
+    "eta_hat" and "eta"; the pipelines compute eta_hat and eta at
+    counterfeit features only for scores that read them.  A score that
+    reads "x" sees the features through the linear functionals
+    ``directions(d)``: theta for the residual score, all of x (the identity
+    matrix) otherwise, and fn's x holds the candidates' projections
+    ``x @ directions(d)``, shape (m, k), the other arguments shape (m,).
     The oracle's ``truth`` is the true model, needed where counterfeits get
-    fresh features.  External scores bypass evaluation and are looked up by
-    (sample_index, candidate_index) with index 0 meaning the original.
+    fresh features.  An external score has no fn: its ``table`` is looked
+    up by (sample_index, candidate_index), index 0 meaning the original.
+    ``kind`` labels the score in messages.
     """
 
     kind: str
+    fn: Optional[Callable] = None
+    reads: frozenset = frozenset()
     theta: Optional[np.ndarray] = None
     truth: Optional[ProbModel] = None
     table: Optional[Dict[Tuple[int, int], float]] = None
-    fn: Optional[Callable] = None
-    needs: frozenset = frozenset()
 
     @classmethod
     def identity(cls) -> "ScoreFn":
-        return cls(kind="identity")
+        return cls("identity", lambda x, w, eta_hat, eta: score_identity(x, w))
 
     @classmethod
     def agnostic(cls) -> "ScoreFn":
-        return cls(kind="agnostic")
+        return cls(
+            "agnostic",
+            lambda x, w, eta_hat, eta: score_agnostic_modelx(eta_hat, w),
+            frozenset({"eta_hat"}),
+        )
 
     @classmethod
     def oracle(cls, truth: Optional[ProbModel] = None) -> "ScoreFn":
-        return cls(kind="oracle", truth=truth)
+        return cls(
+            "oracle",
+            lambda x, w, eta_hat, eta: score_optimal_oracle(eta, eta_hat, w),
+            frozenset({"eta_hat", "eta"}),
+            truth=truth,
+        )
 
     @classmethod
     def linear_residual(cls, theta: np.ndarray) -> "ScoreFn":
-        return cls(kind="residual", theta=np.asarray(theta, dtype=float))
+        return cls(
+            "residual",
+            lambda x, w, eta_hat, eta: np.abs(np.asarray(w, dtype=float) - x[:, 0]),
+            frozenset({"x"}),
+            theta=np.asarray(theta, dtype=float),
+        )
 
     @classmethod
     def external(cls, table: Dict[Tuple[int, int], float]) -> "ScoreFn":
-        return cls(kind="external", table=dict(table))
+        return cls("external", table=dict(table))
 
     @classmethod
     def custom(cls, fn: Callable, needs: Tuple[str, ...] = ()) -> "ScoreFn":
-        """Arbitrary vectorized score fn(x, w, eta_hat, eta); used in tests."""
-        return cls(kind="custom", fn=fn, needs=frozenset(needs))
-
-    @property
-    def is_external(self) -> bool:
-        return self.kind == "external"
-
-    @property
-    def needs_eta_hat(self) -> bool:
-        if self.kind == "custom":
-            return "eta_hat" in self.needs
-        return self.kind in ("agnostic", "oracle")
-
-    @property
-    def needs_eta(self) -> bool:
-        if self.kind == "custom":
-            return "eta" in self.needs
-        return self.kind == "oracle"
+        """Arbitrary vectorized score fn(x, w, eta_hat, eta) that reads all
+        of x, plus eta_hat and eta where ``needs`` names them; used in tests."""
+        return cls("custom", fn, frozenset(needs) | {"x"})
 
     def directions(self, d: int) -> np.ndarray:
         """The (d, k) matrix whose columns are the functionals of x read."""
-        if self.kind == "residual":
-            return self.theta[:, None]
-        if self.kind == "custom":
-            return np.eye(d)
-        return np.zeros((d, 0))
+        if "x" not in self.reads:
+            return np.zeros((d, 0))
+        return np.eye(d) if self.theta is None else self.theta[:, None]
 
     def external_lookup(self, sample_index: int, cand_index: int) -> float:
         try:
@@ -212,8 +199,15 @@ class ScoreFn:
             ) from None
 
     def external_scores(self, n: int, m: int) -> np.ndarray:
-        """The table as an (n, m) array; raises on the first missing entry."""
-        return np.array([[self.external_lookup(j, i) for i in range(m)] for j in range(n)])
+        """The table as an (n, m) array; raises on the first missing entry
+        and on an entry outside the n samples and m candidates."""
+        t = np.array([[self.external_lookup(j, i) for i in range(m)] for j in range(n)])
+        if len(self.table) > n * m:
+            j, i = next(k for k in self.table if not (0 <= k[0] < n and 0 <= k[1] < m))
+            raise ValueError(
+                f"external score table entry ({j}, {i}) lies outside {n} samples x {m} candidates"
+            )
+        return t
 
     def evaluate(
         self,
@@ -222,17 +216,7 @@ class ScoreFn:
         eta_hat: np.ndarray,
         eta: Optional[np.ndarray],
     ) -> np.ndarray:
-        if self.kind == "identity":
-            return score_identity(x, w)
-        if self.kind == "agnostic":
-            return score_agnostic_modelx(eta_hat, w)
-        if self.kind == "oracle":
-            return score_optimal_oracle(eta, eta_hat, w)
-        if self.kind == "residual":
-            return np.abs(np.asarray(w, dtype=float) - x[:, 0])
-        if self.kind == "custom":
-            return np.asarray(self.fn(x, w, eta_hat, eta), dtype=float)
-        raise ValueError(f"score kind {self.kind!r} cannot be evaluated directly")
+        return np.asarray(self.fn(x, w, eta_hat, eta), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -264,12 +248,8 @@ class DatasetScoreFn:
         return cls(kind="external", fn=fn)
 
     def score(self, x: np.ndarray, w: np.ndarray) -> float:
-        if self.kind == "external":
-            return float(self.fn(x, w))
-        X = np.column_stack([np.asarray(x, dtype=float), np.ones(len(w))])
-        theta = fit_linear_score(X, w, ridge=self.ridge)
-        resid = np.asarray(w, dtype=float) - X @ theta
-        return float(np.mean(resid**2))
+        """In-sample score: fit and evaluate on the same (x, w)."""
+        return dataset_score_mse((x, w), (x, w), self)
 
 
 def dataset_score_mse(

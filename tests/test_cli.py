@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from grasp.cli import main
 
@@ -105,7 +106,7 @@ def test_cmd_test_scored_pipeline_requires_K(tmp_path):
     )
 
 
-def test_cmd_modelx_requires_pool_and_theta(tmp_path):
+def test_cmd_modelx_requires_pool_and_theta(tmp_path, capsys):
     inp = tmp_path / "data.csv"
     theta = _write_samples(inp, n=100)
     pool = tmp_path / "pool.csv"
@@ -113,6 +114,9 @@ def test_cmd_modelx_requires_pool_and_theta(tmp_path):
     rows = ["x0,x1"] + [f"{float(a)!r},{float(b)!r}" for a, b in gen.normal(size=(200, 2))]
     pool.write_text("\n".join(rows) + "\n")
     assert main(["modelx-test", "--input", str(inp), "--L", "5", "--K", "1"]) == 2
+    assert "--pool" in capsys.readouterr().err
+    assert main(["modelx-test", "--input", str(inp), "--pool", str(pool), "--L", "5"]) == 2
+    assert "--K" in capsys.readouterr().err
     assert (
         main([
             "modelx-test", "--input", str(inp), "--pool", str(pool),
@@ -120,6 +124,7 @@ def test_cmd_modelx_requires_pool_and_theta(tmp_path):
         ])
         == 2
     )  # agnostic needs --theta
+    assert "--theta" in capsys.readouterr().err
     theta_file = tmp_path / "theta.txt"
     theta_file.write_text("".join(f"{float(v)!r}\n" for v in theta))
     out = tmp_path / "mx.json"
@@ -146,6 +151,80 @@ def test_cmd_modelx_identity_needs_no_theta(tmp_path):
         ])
         == 0
     )
+
+
+def _nan_inputs(tmp_path, case):
+    """Flags for one run on a 200-row file with a single non-finite value
+    placed in the input ``case`` names."""
+    inp = tmp_path / "data.csv"
+    theta = _write_samples(inp, n=200)
+    theta_file = tmp_path / "theta.txt"
+    theta_file.write_text("".join(f"{float(v)!r}\n" for v in theta))
+    common = ["--L", "5", "--K", "1", "--input", str(inp)]
+    if case == "samples":
+        lines = inp.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        inp.write_text("\n".join(lines) + "\n")
+        return ["test"] + common, "line 4"
+    if case == "scores":
+        scores = tmp_path / "scores.csv"
+        rows = ["sample_index,counterfeit_index,score"]
+        rows += [f"{j},{i},{'nan' if i == 0 else 0.5}" for j in range(200) for i in range(5)]
+        scores.write_text("\n".join(rows) + "\n")
+        return ["test", "--score", "external", "--scores-file", str(scores)] + common, "line 2"
+    if case == "tau0":
+        theta_file.write_text("0.1\nnan\n")
+        return ["tau0", "--theta0-file", str(theta_file), "--samples", "100"], "line 2"
+    pool = tmp_path / "pool.csv"
+    gen = np.random.default_rng(5)
+    rows = ["x0,x1"] + [f"{float(a)!r},{float(b)!r}" for a, b in gen.normal(size=(200, 2))]
+    if case == "pool":
+        rows[7] = "nan,0.0"
+    else:
+        theta_file.write_text(f"{float(theta[0])!r}\nnan\n")
+    pool.write_text("\n".join(rows) + "\n")
+    flags = ["modelx-test", "--pool", str(pool), "--theta", str(theta_file), "--score", "agnostic"]
+    return flags + common, "line 8" if case == "pool" else "line 2"
+
+
+@pytest.mark.parametrize("case", ["samples", "scores", "theta", "pool", "tau0"])
+def test_non_finite_input_exit2(tmp_path, capsys, case):
+    argv, where = _nan_inputs(tmp_path, case)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert where in err and "non-finite" in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["test", "--tau", "nan"],
+        ["perfect-fit", "--ridge", "nan"],
+        ["tau0", "--sigma", "nan"],
+        ["tau0", "--theta1-rule", "negated_scaled", "--theta1-scale", "inf"],
+    ],
+)
+def test_non_finite_flag_exit2(tmp_path, capsys, argv):
+    inp = tmp_path / "data.csv"
+    _write_samples(inp, n=50)
+    extra = [] if argv[0] == "tau0" else ["--input", str(inp)]
+    assert main(argv + extra) == 2
+    assert f"{argv[-2]} must be finite" in capsys.readouterr().err
+
+
+def test_external_scores_outside_candidates_exit2(tmp_path, capsys):
+    inp = tmp_path / "data.csv"
+    _write_samples(inp, n=20)
+    scores = tmp_path / "scores.csv"
+    rows = ["sample_index,counterfeit_index,score"]
+    rows += [f"{j},{i},{0.1 * i}" for j in range(20) for i in range(5)]
+    base = ["test", "--input", str(inp), "--score", "external", "--scores-file", str(scores)]
+    for extra in ("20,0,0.3", "3,5,0.3", "-1,0,0.3"):
+        scores.write_text("\n".join(rows + [extra]) + "\n")
+        assert main(base + ["--L", "5", "--K", "1"]) == 2
+        assert "outside 20 samples x 5 candidates" in capsys.readouterr().err
+    scores.write_text("\n".join(rows) + "\n")
+    assert main(base + ["--L", "5", "--K", "1"]) == 0
 
 
 def test_cmd_ci_uniform_input_zero(tmp_path, capsys):

@@ -154,6 +154,24 @@ def test_custom_divergence_roundtrip():
     )
 
 
+def test_custom_clones_match_builtins_bernoulli_many():
+    # the generic q f(p/q) path, with its b -> 0 and b -> 1 limits, on a grid
+    # that includes a, b in {0, 1}
+    grid = np.linspace(0.0, 1.0, 11)
+    a, b = (g.ravel() for g in np.meshgrid(grid, grid))
+    for div in (KL, HELLINGER):
+        clone = custom_divergence(
+            f=div.f, f_prime=div.f_prime, f_second=div.f_second,
+            recession_slope=div.recession_slope,
+        )
+        got = bernoulli_divergence_many(clone, a, b)
+        want = bernoulli_divergence_many(div, a, b)
+        assert np.array_equal(np.isinf(got), np.isinf(want)), div.kind
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=div.kind)
+        for ai, bi, gi in zip(a, b, got):
+            assert bernoulli_divergence(clone, BernoulliPair(ai, bi)) == gi
+
+
 def test_custom_divergence_rejects_nonconvex():
     with pytest.raises(ValueError):
         custom_divergence(

@@ -167,3 +167,22 @@ def test_external_score_missing_entry():
     assert fn.external_lookup(0, 0) == 1.0
     with pytest.raises(ValueError):
         fn.external_lookup(0, 1)
+    fn = ScoreFn.external({(0, 0): 1.0, (0, 1): 2.0})
+    assert fn.external_scores(1, 2).tolist() == [[1.0, 2.0]]
+    with pytest.raises(ValueError, match=r"\(0, 1\) lies outside 1 samples x 1 candidates"):
+        fn.external_scores(1, 1)
+
+
+def test_directions_follow_reads_and_theta():
+    theta = np.array([0.5, -1.0, 2.0])
+    for score in (ScoreFn.identity(), ScoreFn.agnostic(), ScoreFn.oracle()):
+        assert "x" not in score.reads and score.directions(3).shape == (3, 0)
+    assert ScoreFn.agnostic().reads == {"eta_hat"}
+    assert ScoreFn.oracle().reads == {"eta_hat", "eta"}
+    residual = ScoreFn.linear_residual(theta)
+    assert residual.reads == {"x"}
+    assert np.array_equal(residual.directions(3), theta[:, None])
+    custom = ScoreFn.custom(lambda x, w, eta_hat, eta: w, needs=("eta",))
+    assert custom.reads == {"x", "eta"}
+    assert np.array_equal(custom.directions(3), np.eye(3))
+    assert ScoreFn.external({(0, 0): 1.0}).fn is None
