@@ -15,12 +15,9 @@ from .divergence import (
     KL,
     TV,
     HELLINGER,
-    BernoulliPair,
     FDivergence,
-    bernoulli_divergence,
     bernoulli_divergence_many,
     discrete_divergence_to_uniform,
-    f_eval,
     get_divergence,
 )
 from .experiments import (
@@ -40,7 +37,6 @@ from .inference import (
     chi2_quantile,
     ci_lower,
     crt_pvalue,
-    decide,
     perfect_fit_test,
     pvalue_asym,
     pvalue_finite,
@@ -52,7 +48,6 @@ from .sampling import (
     FeatureSampler,
     RngStream,
     assign_label,
-    draw_w,
     grasp_counts_df,
     grasp_counts_modelx,
     grasp_counts_simple,
@@ -62,11 +57,8 @@ from .scores import (
     DatasetScoreFn,
     ProbModel,
     ScoreFn,
-    dataset_score_mse,
     fit_linear_score,
     score_agnostic_modelx,
-    score_identity,
-    score_linear_residual,
     score_optimal_oracle,
     sigmoid,
 )

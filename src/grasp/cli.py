@@ -73,7 +73,7 @@ def _make_score(args: argparse.Namespace) -> ScoreFn:
     if args.score == "external":
         if args.scores_file is None:
             raise InputError("--score external requires --scores-file")
-        return ScoreFn.external(read_scores_csv(args.scores_file))
+        return ScoreFn.external(*read_scores_csv(args.scores_file))
     raise InputError(f"unknown score token {args.score!r}")
 
 

@@ -15,7 +15,7 @@ import io
 import json
 import math
 import re
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -110,9 +110,10 @@ def read_pool_csv(path: str) -> np.ndarray:
     return pool
 
 
-def read_scores_csv(path: str) -> Dict[Tuple[int, int], float]:
-    """Parse externally computed scores keyed by (sample, candidate) index."""
-    table: Dict[Tuple[int, int], float] = {}
+def read_scores_csv(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse externally computed scores: the sample index, candidate index
+    and score columns, in file order."""
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         needed = {"sample_index", "counterfeit_index", "score"}
@@ -122,15 +123,19 @@ def read_scores_csv(path: str) -> Dict[Tuple[int, int], float]:
             )
         for line_no, row in enumerate(reader, start=2):
             try:
-                key = (int(row["sample_index"]), int(row["counterfeit_index"]))
-                table[key] = float(row["score"])
-            except (TypeError, ValueError):
+                # np.int64 raises OverflowError on an index no array can hold
+                j = np.int64(int(row["sample_index"]))
+                i = np.int64(int(row["counterfeit_index"]))
+                score = float(row["score"])
+            except (TypeError, ValueError, OverflowError):
                 raise InputError(f"{path}: malformed row at line {line_no}") from None
-            if not math.isfinite(table[key]):
+            if not math.isfinite(score):
                 raise InputError(f"{path}: line {line_no}: non-finite score")
-    if not table:
+            rows.append((j, i, score))
+    if not rows:
         raise InputError(f"{path}: no data rows")
-    return table
+    j, i, score = zip(*rows)
+    return np.array(j), np.array(i), np.array(score)
 
 
 def read_theta(path: str) -> np.ndarray:
@@ -228,21 +233,7 @@ def dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-_ROW_FIELDS = [
-    "mode",
-    "score",
-    "divergence",
-    "n",
-    "d",
-    "L",
-    "K",
-    "tau",
-    "alpha",
-    "trials",
-    "seed",
-    "rejection_rate_asym",
-    "rejection_rate_finite",
-]
+_ROW_FIELDS = [f.name for f in dataclasses.fields(ResultRow)]
 
 
 def rows_to_csv(rows: List[ResultRow]) -> str:

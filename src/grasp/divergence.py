@@ -20,14 +20,11 @@ import numpy as np
 
 __all__ = [
     "FDivergence",
-    "BernoulliPair",
     "KL",
     "TV",
     "HELLINGER",
     "DIVERGENCES",
     "get_divergence",
-    "f_eval",
-    "bernoulli_divergence",
     "bernoulli_divergence_many",
     "discrete_divergence_to_uniform",
 ]
@@ -52,28 +49,15 @@ class FDivergence:
     # Bernoulli form.  None means "estimate numerically" (custom kinds).
     recession_slope: Optional[float] = None
 
-    def validate(self, grid: Optional[np.ndarray] = None) -> None:
+    def validate(self) -> None:
         """Spot-check convexity on a grid and f(1) = 0 exactly."""
         if abs(float(self.f(np.asarray(1.0)))) > 1e-12:
             raise ValueError(f"divergence {self.kind!r}: f(1) != 0")
-        if grid is None:
-            grid = np.linspace(0.05, 8.0, 120)
+        grid = np.linspace(0.05, 8.0, 120)
         vals = self.f(grid)
         mid = self.f((grid[:-2] + grid[2:]) / 2.0)
         if np.any(mid > (vals[:-2] + vals[2:]) / 2.0 + 1e-9):
             raise ValueError(f"divergence {self.kind!r}: midpoint convexity fails")
-
-
-@dataclass(frozen=True)
-class BernoulliPair:
-    """True and estimated success probabilities, both in [0, 1]."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.a <= 1.0 and 0.0 <= self.b <= 1.0):
-            raise ValueError(f"probabilities out of [0,1]: a={self.a}, b={self.b}")
 
 
 def _kl_f(t):
@@ -149,20 +133,6 @@ def custom_divergence(
     )
     div.validate()
     return div
-
-
-def f_eval(div: FDivergence, t) -> float:
-    """Evaluate the generator f at t >= 0 (continuous extension at 0)."""
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("f is defined on t >= 0")
-    out = div.f(t_arr)
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def bernoulli_divergence(div: FDivergence, pair: BernoulliPair) -> float:
-    """D_f between Bernoulli(a) and Bernoulli(b); see bernoulli_divergence_many."""
-    return float(bernoulli_divergence_many(div, pair.a, pair.b))
 
 
 def bernoulli_divergence_many(div: FDivergence, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .divergence import FDivergence, bernoulli_divergence_many, get_divergence
-from .inference import chi2_cdf, threshold
+from .inference import pvalue_asym, threshold
 from .sampling import (
     BinCounts,
     EvalSample,
@@ -83,6 +83,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if min(self.n, self.d, self.L, self.K, self.trials) < 1:
             raise ValueError("n, d, L, K and trials must all be >= 1")
+        if not all(math.isfinite(v) for v in (self.sigma_theta, self.theta1_scale, *self.tau_grid)):
+            raise ValueError("sigma_theta, theta1_scale and tau values must be finite")
         if self.n > _N_CAP and not self.extended:
             raise ValueError(f"n > {_N_CAP} requires extended=True")
         if self.sigma_theta <= 0:
@@ -317,4 +319,4 @@ def label_uniformity_check(counts: BinCounts) -> Tuple[float, float]:
     its asymptotic chi-square p-value (rule of thumb n >= 5L)."""
     expected = counts.n / counts.L
     stat = float(np.sum((counts.counts - expected) ** 2) / expected)
-    return stat, 1.0 - chi2_cdf(stat, counts.L - 1)
+    return stat, pvalue_asym(stat, counts.L)

@@ -11,7 +11,7 @@ computed directly, so p-values keep their relative precision far out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -25,10 +25,8 @@ from .solver import SolverConfig, StatVariant, solve_u_stat, u_stat_exceeds
 __all__ = [
     "TestOutcome",
     "ConfidenceBound",
-    "Decision",
     "chi2_cdf",
     "chi2_quantile",
-    "decide",
     "threshold",
     "pvalue_finite",
     "pvalue_asym",
@@ -132,12 +130,6 @@ def chi2_quantile(beta: float, k: int) -> float:
 # --- decisions and p-values -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decision:
-    threshold: float
-    reject: bool
-
-
 def finite_threshold(L: int, alpha: float) -> float:
     return L + math.sqrt(2.0 * L / alpha)
 
@@ -154,12 +146,6 @@ def threshold(variant: StatVariant, L: int, alpha: float) -> float:
     if StatVariant(variant) is StatVariant.FINITE:
         return finite_threshold(L, alpha)
     return asym_threshold(L, alpha)
-
-
-def decide(variant: StatVariant, u: float, L: int, alpha: float) -> Decision:
-    """Reject iff u >= the variant's threshold (ties reject)."""
-    thr = threshold(variant, L, alpha)
-    return Decision(threshold=thr, reject=u >= thr)
 
 
 def pvalue_finite(u: float, L: int) -> float:
@@ -216,22 +202,10 @@ class TestOutcome:
             raise ValueError("decision inconsistent with statistic and threshold")
 
     def to_json_dict(self) -> dict:
-        out = {
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "reject": self.reject,
-            "p_value": self.p_value,
-            "variant": self.variant,
-            "tau": self.tau,
-            "alpha": self.alpha,
-            "L": self.L,
-            "K": self.K,
-            "n": self.n,
-            "divergence": self.divergence,
-            "seed": self.seed,
-        }
-        if self.M is not None:
-            out["M"] = self.M
+        """The fields, without M when no counterfeit count applies."""
+        out = asdict(self)
+        if self.M is None:
+            del out["M"]
         return out
 
 
@@ -341,9 +315,10 @@ def perfect_fit_test(
     """Randomization test of exact fit using a dataset-level score.
 
     Draws the randomized w-vector for the originals, M i.i.d. Unif[0,1]^n
-    counterfeit vectors, scores each candidate dataset by the identical
-    procedure, and converts the original's rank into a p-value.  The
-    reported statistic is 1 - p so that reject <=> statistic >= threshold.
+    counterfeit vectors, scores all M + 1 candidate datasets by the
+    identical procedure in one call, and converts the original's rank into
+    a p-value.  The reported statistic is 1 - p so that
+    reject <=> statistic >= threshold.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -355,9 +330,8 @@ def perfect_fit_test(
     u = gen.uniform(size=n)
     w = _w_from_uniform(u, *_labels(samples))
     w_cf = gen.uniform(size=(M, n))
-    orig = dscore.score(x, w)
-    cf = np.array([dscore.score(x, w_cf[j]) for j in range(M)])
-    p = crt_pvalue(orig, cf)
+    scores = dscore.scores(x, np.column_stack([w, w_cf.T]))
+    p = crt_pvalue(scores[0], scores[1:])
     return TestOutcome(
         statistic=1.0 - p,
         threshold=1.0 - alpha,

@@ -31,7 +31,6 @@ __all__ = [
     "EvalSample",
     "BinCounts",
     "FeatureSampler",
-    "draw_w",
     "rank",
     "assign_label",
     "grasp_counts_df",
@@ -180,16 +179,6 @@ def _psd_sqrt(gram: np.ndarray) -> np.ndarray:
     theta_1 = -theta_0 is singular, which Cholesky rejects."""
     lam, Q = np.linalg.eigh(gram)
     return (Q * np.sqrt(np.clip(lam, 0.0, None))) @ Q.T
-
-
-def draw_w(sample: EvalSample, rng: RngStream) -> float:
-    """Draw w ~ Unif[0, eta_hat] when y = 1 and w ~ Unif[eta_hat, 1] when y = 0.
-
-    Degenerate eta_hat in {0, 1} collapses the interval to its endpoint.
-    This is the w the pipelines draw for a one-sample list.
-    """
-    u = rng.generator(_COUNTS).uniform()
-    return float(_w_from_uniform(u, sample.y, sample.eta_hat))
 
 
 def _w_from_uniform(u, y, eta_hat):

@@ -10,7 +10,7 @@ and is available only in synthetic experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -19,12 +19,9 @@ __all__ = [
     "ProbModel",
     "DatasetScoreFn",
     "sigmoid",
-    "score_identity",
     "score_agnostic_modelx",
     "score_optimal_oracle",
-    "score_linear_residual",
     "fit_linear_score",
-    "dataset_score_mse",
 ]
 
 
@@ -45,11 +42,6 @@ def _clamp_prob(eta_hat: np.ndarray) -> np.ndarray:
     return np.clip(np.asarray(eta_hat, dtype=float), _EPS, 1.0 - _EPS)
 
 
-def score_identity(x: np.ndarray, w) -> np.ndarray:
-    """T(x, w) = w."""
-    return np.asarray(w, dtype=float)
-
-
 def score_optimal_oracle(eta, eta_hat, w) -> np.ndarray:
     """Rank-optimal score (eta/eta_hat) below eta_hat, ((1-eta)/(1-eta_hat)) at or above.
 
@@ -66,24 +58,14 @@ def score_agnostic_modelx(eta_hat, w) -> np.ndarray:
     return score_optimal_oracle(0.5, eta_hat, w)
 
 
-def score_linear_residual(theta: np.ndarray, x: np.ndarray, w) -> np.ndarray:
-    """|w - x. theta| for a fitted linear predictor theta."""
-    theta = np.asarray(theta, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != theta.shape[0]:
-        raise ValueError(f"theta dimension {theta.shape[0]} != feature dimension {x.shape[1]}")
-    return np.abs(np.asarray(w, dtype=float) - x @ theta)
-
-
 def fit_linear_score(
     aux_x: np.ndarray, aux_w: np.ndarray, ridge: float = 0.0
 ) -> np.ndarray:
     """Least-squares fit of w on x with optional ridge penalty.
 
     Solves (X'X + ridge*I) theta = X'w by a symmetric positive-definite
-    solve; a singular Gram matrix with ridge = 0 raises with advice.
+    solve; a singular Gram matrix with ridge = 0 raises with advice.  An
+    (n, m) w fits its m columns at once, giving a (d, m) theta.
     """
     X = np.asarray(aux_x, dtype=float)
     w = np.asarray(aux_w, dtype=float)
@@ -132,9 +114,9 @@ class ScoreFn:
     matrix) otherwise, and fn's x holds the candidates' projections
     ``x @ directions(d)``, shape (m, k), the other arguments shape (m,).
     The oracle's ``truth`` is the true model, needed where counterfeits get
-    fresh features.  An external score has no fn: its ``table`` is looked
-    up by (sample_index, candidate_index), index 0 meaning the original.
-    ``kind`` labels the score in messages.
+    fresh features.  An external score has no fn: its ``table`` holds the
+    columns (sample_index, candidate_index, score), index 0 meaning the
+    original.  ``kind`` labels the score in messages.
     """
 
     kind: str
@@ -142,11 +124,11 @@ class ScoreFn:
     reads: frozenset = frozenset()
     theta: Optional[np.ndarray] = None
     truth: Optional[ProbModel] = None
-    table: Optional[Dict[Tuple[int, int], float]] = None
+    table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     @classmethod
     def identity(cls) -> "ScoreFn":
-        return cls("identity", lambda x, w, eta_hat, eta: score_identity(x, w))
+        return cls("identity", lambda x, w, eta_hat, eta: w)
 
     @classmethod
     def agnostic(cls) -> "ScoreFn":
@@ -167,6 +149,7 @@ class ScoreFn:
 
     @classmethod
     def linear_residual(cls, theta: np.ndarray) -> "ScoreFn":
+        """|w - x.theta| for a fitted linear predictor theta."""
         return cls(
             "residual",
             lambda x, w, eta_hat, eta: np.abs(np.asarray(w, dtype=float) - x[:, 0]),
@@ -175,8 +158,13 @@ class ScoreFn:
         )
 
     @classmethod
-    def external(cls, table: Dict[Tuple[int, int], float]) -> "ScoreFn":
-        return cls("external", table=dict(table))
+    def external(cls, sample_index, cand_index, score) -> "ScoreFn":
+        table = (
+            np.asarray(sample_index, dtype=np.int64),
+            np.asarray(cand_index, dtype=np.int64),
+            np.asarray(score, dtype=float),
+        )
+        return cls("external", table=table)
 
     @classmethod
     def custom(cls, fn: Callable, needs: Tuple[str, ...] = ()) -> "ScoreFn":
@@ -190,23 +178,28 @@ class ScoreFn:
             return np.zeros((d, 0))
         return np.eye(d) if self.theta is None else self.theta[:, None]
 
-    def external_lookup(self, sample_index: int, cand_index: int) -> float:
-        try:
-            return self.table[(sample_index, cand_index)]
-        except KeyError:
-            raise ValueError(
-                f"external score table missing entry ({sample_index}, {cand_index})"
-            ) from None
-
     def external_scores(self, n: int, m: int) -> np.ndarray:
-        """The table as an (n, m) array; raises on the first missing entry
-        and on an entry outside the n samples and m candidates."""
-        t = np.array([[self.external_lookup(j, i) for i in range(m)] for j in range(n)])
-        if len(self.table) > n * m:
-            j, i = next(k for k in self.table if not (0 <= k[0] < n and 0 <= k[1] < m))
+        """The table as an (n, m) array.  Raises on the first missing entry
+        in row-major order, then on the first entry outside the n samples
+        and m candidates in table order, then on the first repeated entry."""
+        j, i, score = self.table
+        # scatter only entries in range: numpy would wrap an index of -1 to the last row
+        inside = (0 <= j) & (j < n) & (0 <= i) & (i < m)
+        t = np.full((n, m), np.nan)
+        t[j[inside], i[inside]] = score[inside]
+        if np.isnan(t).any():
+            a, b = np.argwhere(np.isnan(t))[0]
+            raise ValueError(f"external score table missing entry ({a}, {b})")
+        if not inside.all():
+            k = np.argmin(inside)
             raise ValueError(
-                f"external score table entry ({j}, {i}) lies outside {n} samples x {m} candidates"
+                f"external score table entry ({j[k]}, {i[k]}) lies outside {n} samples x {m} candidates"
             )
+        if j.size > n * m:
+            first = np.zeros(j.size, dtype=bool)
+            first[np.unique(j * m + i, return_index=True)[1]] = True
+            k = np.argmin(first)
+            raise ValueError(f"external score table repeats entry ({j[k]}, {i[k]})")
         return t
 
     def evaluate(
@@ -223,16 +216,14 @@ class ScoreFn:
 class DatasetScoreFn:
     """Dataset-level score for the perfect-fit randomization test.
 
-    ``linear_mse`` regresses the candidate w-vector on the shared features
-    (intercept appended) and reports in-sample mean squared error; every
+    Each candidate w-vector is regressed on the shared features (intercept
+    appended) and scored by its in-sample mean squared error; every
     candidate dataset goes through the identical procedure, which is what
     keeps the original and its counterfeits exchangeable under the null.
     Smaller scores mean better fit.
     """
 
-    kind: str = "linear_mse"
     ridge: float = 0.0
-    fn: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
 
     def __post_init__(self) -> None:
         if self.ridge < 0:
@@ -240,33 +231,12 @@ class DatasetScoreFn:
 
     @classmethod
     def linear_mse(cls, ridge: float = 0.0) -> "DatasetScoreFn":
-        return cls(kind="linear_mse", ridge=ridge)
+        return cls(ridge=ridge)
 
-    @classmethod
-    def external(cls, fn: Callable[[np.ndarray, np.ndarray], float]) -> "DatasetScoreFn":
-        """fn(x_matrix, w_vector) -> score; must treat every candidate alike."""
-        return cls(kind="external", fn=fn)
-
-    def score(self, x: np.ndarray, w: np.ndarray) -> float:
-        """In-sample score: fit and evaluate on the same (x, w)."""
-        return dataset_score_mse((x, w), (x, w), self)
-
-
-def dataset_score_mse(
-    train: Tuple[np.ndarray, np.ndarray],
-    eval_pairs: Tuple[np.ndarray, np.ndarray],
-    cfg: DatasetScoreFn,
-) -> float:
-    """Fit the configured regressor on train pairs, return MSE on eval pairs."""
-    x_tr, w_tr = train
-    x_ev, w_ev = eval_pairs
-    w_ev = np.asarray(w_ev, dtype=float)
-    if w_ev.size == 0:
-        raise ValueError("eval set must be nonempty")
-    if cfg.kind == "external":
-        return float(cfg.fn(np.asarray(x_ev, dtype=float), w_ev))
-    X_tr = np.column_stack([np.asarray(x_tr, dtype=float), np.ones(len(w_tr))])
-    X_ev = np.column_stack([np.asarray(x_ev, dtype=float), np.ones(len(w_ev))])
-    theta = fit_linear_score(X_tr, w_tr, ridge=cfg.ridge)
-    resid = w_ev - X_ev @ theta
-    return float(np.mean(resid**2))
+    def scores(self, x: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """In-sample MSE of each column of the (n, m) matrix W, by one
+        least-squares solve on the (n, d) features x."""
+        W = np.asarray(W, dtype=float)
+        X = np.column_stack([np.asarray(x, dtype=float), np.ones(W.shape[0])])
+        theta = fit_linear_score(X, W, ridge=self.ridge)
+        return np.mean((W - X @ theta) ** 2, axis=0)

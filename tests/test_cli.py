@@ -227,6 +227,18 @@ def test_external_scores_outside_candidates_exit2(tmp_path, capsys):
     assert main(base + ["--L", "5", "--K", "1"]) == 0
 
 
+def test_external_scores_duplicate_row_exit2(tmp_path, capsys):
+    inp = tmp_path / "data.csv"
+    _write_samples(inp, n=20)
+    scores = tmp_path / "scores.csv"
+    rows = ["sample_index,counterfeit_index,score"]
+    rows += [f"{j},{i},{0.1 * i}" for j in range(20) for i in range(5)]
+    scores.write_text("\n".join(rows + ["3,2,0.9", "1,4,0.3"]) + "\n")
+    argv = ["test", "--input", str(inp), "--score", "external", "--scores-file", str(scores)]
+    assert main(argv + ["--L", "5", "--K", "1"]) == 2
+    assert "repeats entry (3, 2)" in capsys.readouterr().err
+
+
 def test_cmd_ci_uniform_input_zero(tmp_path, capsys):
     inp = tmp_path / "null.csv"
     gen = np.random.default_rng(7)
@@ -321,6 +333,13 @@ def test_cmd_simulate_invalid_spec(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg)]) == 2
     cfg.write_text("kind = \"size\"\nn = 100\nd = 2\nL = 4\ntrials = 1\nseed = 0\ndivergence = \"js\"\n")
     assert main(["simulate", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+    cfg.write_text(
+        "kind = \"power\"\ntheta1_rule = \"negated\"\nn = 50\nd = 2\nL = 4\ntrials = 1\nseed = 0\n"
+        "tau_grid = [nan]\n"
+    )
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_cmd_tau0_same_rule_zero(tmp_path, capsys):

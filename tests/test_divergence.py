@@ -7,12 +7,9 @@ from grasp.divergence import (
     KL,
     TV,
     HELLINGER,
-    BernoulliPair,
-    bernoulli_divergence,
     bernoulli_divergence_many,
     custom_divergence,
     discrete_divergence_to_uniform,
-    f_eval,
     get_divergence,
 )
 
@@ -20,20 +17,18 @@ ALL = [KL, TV, HELLINGER]
 
 
 def test_f_eval_examples():
-    assert f_eval(KL, 1.0) == 0.0
-    assert f_eval(TV, 3.0) == 1.0
-    assert f_eval(HELLINGER, 4.0) == 1.0
+    assert KL.f(np.asarray(1.0)) == 0.0
+    assert TV.f(np.asarray(3.0)) == 1.0
+    assert HELLINGER.f(np.asarray(4.0)) == 1.0
+    assert np.array_equal(TV.f(np.array([0.5, 1.0, 3.0])), [0.25, 0.0, 1.0])
 
 
 def test_f_eval_boundary_extensions():
-    assert f_eval(KL, 0.0) == 0.0
-    assert f_eval(TV, 0.0) == 0.5
-    assert f_eval(HELLINGER, 0.0) == 1.0
-
-
-def test_f_eval_rejects_negative():
-    with pytest.raises(ValueError):
-        f_eval(KL, -0.1)
+    # the continuous extension at t = 0, also inside an array
+    assert KL.f(np.asarray(0.0)) == 0.0
+    assert TV.f(np.asarray(0.0)) == 0.5
+    assert HELLINGER.f(np.asarray(0.0)) == 1.0
+    assert np.array_equal(KL.f(np.array([0.0, 1.0])), [0.0, 0.0])
 
 
 def test_derivative_examples():
@@ -73,11 +68,11 @@ def test_subgradient_inequality_property():
 
 
 def test_bernoulli_examples():
-    assert bernoulli_divergence(TV, BernoulliPair(0.8, 0.3)) == pytest.approx(0.5)
-    assert bernoulli_divergence(KL, BernoulliPair(0.37, 0.37)) == 0.0
-    assert bernoulli_divergence(KL, BernoulliPair(0.9, 0.1)) == pytest.approx(
-        0.8 * math.log(9.0), abs=1e-12
-    )
+    assert bernoulli_divergence_many(TV, 0.8, 0.3) == pytest.approx(0.5)
+    assert bernoulli_divergence_many(KL, 0.37, 0.37) == 0.0
+    assert bernoulli_divergence_many(KL, 0.9, 0.1) == pytest.approx(0.8 * math.log(9.0), abs=1e-12)
+    got = bernoulli_divergence_many(KL, [0.37, 0.9], [0.37, 0.1])
+    assert got[0] == 0.0 and got[1] == pytest.approx(0.8 * math.log(9.0), abs=1e-12)
 
 
 def test_bernoulli_nonnegative_and_zero_at_equal():
@@ -91,10 +86,14 @@ def test_bernoulli_nonnegative_and_zero_at_equal():
 
 
 def test_bernoulli_degenerate_edges():
-    assert bernoulli_divergence(KL, BernoulliPair(0.5, 0.0)) == math.inf
-    assert bernoulli_divergence(KL, BernoulliPair(0.0, 0.0)) == 0.0
-    assert bernoulli_divergence(TV, BernoulliPair(1.0, 0.0)) == 1.0
-    assert bernoulli_divergence(HELLINGER, BernoulliPair(1.0, 0.0)) == pytest.approx(2.0)
+    assert bernoulli_divergence_many(KL, 0.5, 0.0) == math.inf
+    assert bernoulli_divergence_many(KL, 0.0, 0.0) == 0.0
+    assert bernoulli_divergence_many(KL, 1.0, 1.0) == 0.0
+    assert bernoulli_divergence_many(TV, 1.0, 0.0) == 1.0
+    assert bernoulli_divergence_many(HELLINGER, 1.0, 0.0) == pytest.approx(2.0)
+    assert np.array_equal(
+        bernoulli_divergence_many(KL, [0.5, 0.0, 0.3], [0.0, 0.0, 0.3]), [math.inf, 0.0, 0.0]
+    )
 
 
 def test_kl_equals_cross_entropy_excess():
@@ -148,9 +147,8 @@ def test_custom_divergence_roundtrip():
     clone = custom_divergence(
         f=KL.f, f_prime=KL.f_prime, f_second=KL.f_second, recession_slope=math.inf
     )
-    pair = BernoulliPair(0.9, 0.2)
-    assert bernoulli_divergence(clone, pair) == pytest.approx(
-        bernoulli_divergence(KL, pair), rel=1e-12
+    assert bernoulli_divergence_many(clone, 0.9, 0.2) == pytest.approx(
+        bernoulli_divergence_many(KL, 0.9, 0.2), rel=1e-12
     )
 
 
@@ -169,7 +167,7 @@ def test_custom_clones_match_builtins_bernoulli_many():
         assert np.array_equal(np.isinf(got), np.isinf(want)), div.kind
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=div.kind)
         for ai, bi, gi in zip(a, b, got):
-            assert bernoulli_divergence(clone, BernoulliPair(ai, bi)) == gi
+            assert bernoulli_divergence_many(clone, ai, bi) == gi
 
 
 def test_custom_divergence_rejects_nonconvex():

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from grasp.divergence import KL, TV
 from grasp.experiments import (
@@ -58,6 +59,14 @@ def test_label_uniformity_examples():
     assert stat == pytest.approx(10.0)
 
 
+def test_label_uniformity_pvalue_keeps_far_tail_precision():
+    # 1 - cdf rounds this tail to 0.0
+    stat, p = label_uniformity_check(BinCounts(counts=np.array([300, 0, 0, 0, 0]), n=300, L=5))
+    assert stat == pytest.approx(1200.0)
+    assert p == pytest.approx(scipy.stats.chi2.sf(1200.0, 4), rel=1e-6)
+    assert p > 0.0
+
+
 def test_label_uniformity_pvalues_uniform_under_null():
     # null counts are uniform-multinomial; p-values should look Unif[0,1]
     gen = np.random.default_rng(30)
@@ -87,6 +96,15 @@ def test_experiment_spec_validation():
         ExperimentSpec(n=10, d=1, L=2, trials=1, seed=0, divergence="chi2")
     with pytest.raises(ValueError):
         ExperimentSpec(n=10, d=1, L=2, trials=1, seed=0, alphas=(1.5,))
+    for bad in (
+        dict(tau_grid=(float("nan"),)),
+        dict(tau_grid=(0.1, float("inf"))),
+        dict(sigma_theta=float("nan")),
+        dict(sigma_theta=float("inf")),
+        dict(theta1_scale=float("nan")),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentSpec(n=10, d=1, L=2, trials=1, seed=0, **bad)
 
 
 def test_run_size_table_guards():

@@ -13,11 +13,11 @@ from grasp.inference import (
     chi2_quantile,
     ci_lower,
     crt_pvalue,
-    decide,
     perfect_fit_test,
     pvalue_asym,
     pvalue_finite,
     evaluate_counts,
+    threshold,
 )
 from grasp.sampling import BinCounts, EvalSample, RngStream, grasp_counts_simple
 from grasp.scores import DatasetScoreFn
@@ -62,16 +62,26 @@ def test_chi2_domain_errors():
 
 
 def test_decide_examples():
-    d = decide("finite", 82.0, 50, 0.1)
-    assert d.threshold == pytest.approx(50 + math.sqrt(1000.0))
-    assert d.reject
-    assert not decide("finite", 50.0, 50, 0.1).reject
-    assert not decide("asym", 0.0, 50, 0.1).reject
+    thr = threshold("finite", 50, 0.1)
+    assert thr == pytest.approx(50 + math.sqrt(1000.0))
+    assert 82.0 >= thr
+    assert not 50.0 >= thr
+    assert threshold("asym", 50, 0.1) == pytest.approx(scipy.stats.chi2.ppf(0.9, 49), abs=1e-8)
+    with pytest.raises(ValueError):
+        threshold("finite", 50, 1.0)
+    with pytest.raises(ValueError):
+        threshold("asym", 1, 0.1)
 
 
 def test_decide_ties_reject():
-    thr = 50 + math.sqrt(2 * 50 / 0.1)
-    assert decide("finite", thr, 50, 0.1).reject
+    # an outcome whose statistic equals the threshold is a reject
+    thr = threshold("finite", 50, 0.1)
+    assert thr == 50 + math.sqrt(2 * 50 / 0.1)
+    fields = dict(threshold=thr, p_value=0.1, variant="finite", tau=0.0, alpha=0.1,
+                  L=50, K=None, n=100, divergence="kl", seed=0)
+    assert TestOutcome(statistic=thr, reject=True, **fields).reject
+    with pytest.raises(ValueError, match="inconsistent"):
+        TestOutcome(statistic=thr, reject=False, **fields)
 
 
 def test_pvalue_finite_examples():
@@ -106,13 +116,13 @@ def test_pvalue_decision_coherence():
         L = int(gen.integers(2, 120))
         alpha = float(gen.uniform(0.01, 0.5))
         u = float(gen.uniform(0, 4 * L))
-        asym = decide("asym", u, L, alpha)
-        assert asym.reject == (pvalue_asym(u, L) <= alpha + 1e-12)
-        fin = decide("finite", u, L, alpha)
+        asym_reject = u >= threshold("asym", L, alpha)
+        assert asym_reject == (pvalue_asym(u, L) <= alpha + 1e-12)
+        fin_reject = u >= threshold("finite", L, alpha)
         if u > L:
-            assert fin.reject == (2 * L / (u - L) ** 2 <= alpha)
+            assert fin_reject == (2 * L / (u - L) ** 2 <= alpha)
         else:
-            assert not fin.reject
+            assert not fin_reject
 
 
 def test_evaluate_counts_outcome_schema():

@@ -9,7 +9,6 @@ from grasp.sampling import (
     FeatureSampler,
     RngStream,
     assign_label,
-    draw_w,
     grasp_counts_df,
     grasp_counts_modelx,
     grasp_counts_simple,
@@ -33,30 +32,38 @@ def _null_samples(n, seed=0):
 
 
 def test_draw_w_interval_bounds():
-    rng = RngStream(1)
-    w = draw_w(_sample(1, 0.5), rng)
-    assert 0.0 <= w <= 0.5
-    w0 = draw_w(_sample(0, 0.0), rng)
-    assert 0.0 <= w0 <= 1.0
+    # w ~ Unif[0, eta_hat] for y = 1 and Unif[eta_hat, 1] for y = 0
+    u = RngStream(1).generator().uniform(size=1000)
+    w = sampling._w_from_uniform(u, 1, 0.5)
+    assert np.all((0.0 <= w) & (w <= 0.5)) and w.max() > 0.49
+    w0 = sampling._w_from_uniform(u, 0, 0.0)
+    assert np.all((0.0 <= w0) & (w0 <= 1.0)) and w0.max() > 0.99
+    # with L = 2 the bin boundary is 1/2, so the pipeline bins by the label
+    ones = grasp_counts_simple([_sample(1, 0.5)] * 200, 2, RngStream(1))
+    zeros = grasp_counts_simple([_sample(0, 0.5)] * 200, 2, RngStream(1))
+    assert ones.counts.tolist() == [200, 0] and zeros.counts.tolist() == [0, 200]
 
 
 def test_draw_w_degenerate_endpoints():
-    assert draw_w(_sample(1, 0.0), RngStream(2)) == 0.0
-    assert draw_w(_sample(0, 1.0), RngStream(2)) == 1.0
+    u = np.array([0.0, 0.3, 0.999])
+    assert np.array_equal(sampling._w_from_uniform(u, 1, 0.0), np.zeros(3))
+    assert np.array_equal(sampling._w_from_uniform(u, 0, 1.0), np.ones(3))
+    counts = grasp_counts_simple([_sample(1, 0.0), _sample(0, 1.0)], 4, RngStream(2))
+    assert counts.counts.tolist() == [1, 0, 0, 1]  # w = 0 clips into the first bin
 
 
 def test_draw_w_deterministic():
-    s = _sample(1, 0.7)
-    assert draw_w(s, RngStream(42, 3)) == draw_w(s, RngStream(42, 3))
-    assert draw_w(s, RngStream(42, 3)) != draw_w(s, RngStream(42, 4))
+    samples = _null_samples(200, seed=3)
+    first = grasp_counts_simple(samples, 10, RngStream(42, 3)).counts
+    assert np.array_equal(first, grasp_counts_simple(samples, 10, RngStream(42, 3)).counts)
+    assert not np.array_equal(first, grasp_counts_simple(samples, 10, RngStream(42, 4)).counts)
 
 
 def test_draw_w_uniform_under_null_ks():
     # pooled w over matched-model data is Unif[0,1]: KS distance < 0.02 at n=1e4
     n = 10_000
-    samples = _null_samples(n, seed=10)
-    rng = RngStream(77)
-    ws = np.array([draw_w(s, RngStream(77, j)) for j, s in enumerate(samples)])
+    y, eta_hat = sampling._labels(_null_samples(n, seed=10))
+    ws = sampling._w_from_uniform(RngStream(77).generator().uniform(size=n), y, eta_hat)
     sorted_w = np.sort(ws)
     grid = (np.arange(1, n + 1)) / n
     ks = max(
@@ -200,14 +207,12 @@ def test_empirical_pool_sampler():
 
 def test_external_score_pipeline():
     samples = _null_samples(3, seed=8)
-    table = {}
-    for j in range(3):
-        table[(j, 0)] = 10.0  # originals always above the counterfeits
-        for i in range(1, 6):
-            table[(j, i)] = float(i)
-    counts = grasp_counts_df(
-        samples, ScoreFn.external(table), L=3, K=2, rng=RngStream(11)
-    )
+    j, i = np.divmod(np.arange(18), 6)
+    score = np.where(i == 0, 10.0, i)  # originals always above the counterfeits
+    order = np.random.default_rng(9).permutation(18)  # rows in any order
+    external = ScoreFn.external(j[order], i[order], score[order])
+    assert np.array_equal(external.external_scores(3, 6), score.reshape(3, 6))
+    counts = grasp_counts_df(samples, external, L=3, K=2, rng=RngStream(11))
     assert counts.counts[-1] == 3  # rank 6 of 6 lands in the last bin
 
 
@@ -277,10 +282,11 @@ def test_oracle_score_needs_the_true_model_for_fresh_features():
 
 def test_external_score_missing_entry_raises_in_pipeline():
     samples = _null_samples(3, seed=8)
-    table = {(j, i): float(i) for j in range(3) for i in range(6)}
-    del table[(1, 3)]
+    j, i = np.divmod(np.arange(18), 6)
+    keep = (j != 1) | (i != 3)
+    external = ScoreFn.external(j[keep], i[keep], i[keep].astype(float))
     with pytest.raises(ValueError, match=r"missing entry \(1, 3\)"):
-        grasp_counts_df(samples, ScoreFn.external(table), L=3, K=2, rng=RngStream(11))
+        grasp_counts_df(samples, external, L=3, K=2, rng=RngStream(11))
 
 
 def test_counts_do_not_depend_on_the_block_size(monkeypatch):
@@ -330,6 +336,3 @@ def test_pipelines_match_a_per_sample_loop():
     px = FeatureSampler.gaussian_iso(np.zeros(2), 1.0)
     counts = grasp_counts_modelx(samples, ScoreFn.agnostic(), model, px, L, K, RngStream(52))
     assert np.array_equal(counts.counts, modelx)
-    first = samples[0]
-    w0 = u[0] * first.eta_hat if first.y == 1 else first.eta_hat + u[0] * (1.0 - first.eta_hat)
-    assert draw_w(first, RngStream(52)) == w0

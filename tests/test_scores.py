@@ -6,21 +6,16 @@ from grasp.scores import (
     DatasetScoreFn,
     ProbModel,
     ScoreFn,
-    dataset_score_mse,
     fit_linear_score,
     score_agnostic_modelx,
-    score_identity,
-    score_linear_residual,
     score_optimal_oracle,
     sigmoid,
 )
 
 
 def test_identity_examples():
-    x = np.zeros((1, 3))
-    assert score_identity(x, 0.42) == 0.42
-    assert score_identity(x, 0.0) == 0.0
-    assert score_identity(x, 1.0) == 1.0
+    w = np.array([0.42, 0.0, 1.0])
+    assert np.array_equal(ScoreFn.identity().evaluate(np.zeros((3, 0)), w, np.full(3, 0.5), None), w)
 
 
 def test_agnostic_examples():
@@ -58,17 +53,25 @@ def test_scores_finite_in_clamped_range():
     assert np.all(np.isfinite(score_optimal_oracle(0.3, eta_hat, w)))
 
 
+def _residual(theta, x, w):
+    # the residual score sees x through its projection x @ theta
+    score = ScoreFn.linear_residual(theta)
+    xv = x @ score.directions(x.shape[1])
+    return score.evaluate(xv, np.asarray(w, dtype=float), np.full(len(x), 0.5), None)
+
+
 def test_residual_examples():
     theta = np.array([1.0, -1.0])
     x = np.array([[0.2, 0.1]])
-    assert score_linear_residual(theta, x, x @ theta) == pytest.approx(0.0)
-    assert score_linear_residual(np.zeros(2), x, 0.3) == pytest.approx(0.3)
-    assert score_linear_residual(theta, x, 0.4)[0] == pytest.approx(0.3)
+    assert _residual(theta, x, x @ theta)[0] == pytest.approx(0.0)
+    assert _residual(np.zeros(2), x, [0.3])[0] == pytest.approx(0.3)
+    assert _residual(theta, x, [0.4])[0] == pytest.approx(0.3)
 
 
 def test_residual_dimension_mismatch():
-    with pytest.raises(ValueError):
-        score_linear_residual(np.zeros(3), np.zeros((1, 2)), 0.5)
+    samples = _random_samples(5, seed=0)  # 3-dimensional features
+    with pytest.raises(ValueError, match="reads 2-dimensional features, samples have 3"):
+        grasp_counts_df(samples, ScoreFn.linear_residual(np.zeros(2)), L=2, K=1, rng=RngStream(0))
 
 
 def test_fit_linear_score_interpolates():
@@ -115,7 +118,7 @@ def test_dataset_score_perfect_regressor_is_zero():
     gen = np.random.default_rng(5)
     x = gen.normal(size=(40, 2))
     w = x @ np.array([0.2, -0.1]) + 0.5  # exactly linear with intercept
-    assert DatasetScoreFn.linear_mse().score(x, w) == pytest.approx(0.0, abs=1e-18)
+    assert DatasetScoreFn.linear_mse().scores(x, w[:, None])[0] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_dataset_score_zero_regressor_second_moment():
@@ -123,15 +126,21 @@ def test_dataset_score_zero_regressor_second_moment():
     gen = np.random.default_rng(6)
     x = gen.normal(size=(10_000, 3))
     w = gen.uniform(size=10_000)
-    val = dataset_score_mse((x, w), (x, w), DatasetScoreFn.linear_mse(ridge=1e14))
+    val = DatasetScoreFn.linear_mse(ridge=1e14).scores(x, w[:, None])[0]
     assert val == pytest.approx(1.0 / 3.0, abs=0.02)
 
 
-def test_dataset_score_empty_eval_errors():
-    x = np.zeros((3, 1))
-    w = np.zeros(3)
-    with pytest.raises(ValueError):
-        dataset_score_mse((x, w), (np.zeros((0, 1)), np.zeros(0)), DatasetScoreFn.linear_mse())
+def test_dataset_scores_match_one_fit_per_column():
+    # one solve for all columns gives each column's own least-squares MSE
+    gen = np.random.default_rng(7)
+    x = gen.normal(size=(60, 3))
+    W = gen.uniform(size=(60, 8))
+    X = np.column_stack([x, np.ones(60)])
+    for ridge in (0.0, 0.5):
+        got = DatasetScoreFn.linear_mse(ridge).scores(x, W)
+        for c in range(W.shape[1]):
+            theta = fit_linear_score(X, W[:, c], ridge=ridge)
+            assert got[c] == pytest.approx(np.mean((W[:, c] - X @ theta) ** 2), rel=1e-12)
 
 
 def _random_samples(n, seed):
@@ -163,14 +172,23 @@ def test_monotone_transform_leaves_counts_unchanged():
 
 
 def test_external_score_missing_entry():
-    fn = ScoreFn.external({(0, 0): 1.0})
-    assert fn.external_lookup(0, 0) == 1.0
-    with pytest.raises(ValueError):
-        fn.external_lookup(0, 1)
-    fn = ScoreFn.external({(0, 0): 1.0, (0, 1): 2.0})
+    fn = ScoreFn.external([0], [0], [1.0])
+    assert fn.external_scores(1, 1).tolist() == [[1.0]]
+    with pytest.raises(ValueError, match=r"missing entry \(0, 1\)"):
+        fn.external_scores(1, 2)
+    fn = ScoreFn.external([0, 0], [1, 0], [2.0, 1.0])
     assert fn.external_scores(1, 2).tolist() == [[1.0, 2.0]]
     with pytest.raises(ValueError, match=r"\(0, 1\) lies outside 1 samples x 1 candidates"):
         fn.external_scores(1, 1)
+    # an index of -1 is outside, not the last row, even with every entry present
+    fn = ScoreFn.external([0, 1, -1], [0, 0, 0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"\(-1, 0\) lies outside 2 samples x 1 candidates"):
+        fn.external_scores(2, 1)
+    # a missing entry is named before an entry outside the table
+    with pytest.raises(ValueError, match=r"missing entry \(1, 0\)"):
+        ScoreFn.external([0, 5], [0, 0], [1.0, 2.0]).external_scores(2, 1)
+    with pytest.raises(ValueError, match=r"repeats entry \(1, 0\)"):
+        ScoreFn.external([1, 0, 1, 0], [0, 0, 0, 0], [1.0, 2.0, 3.0, 4.0]).external_scores(2, 1)
 
 
 def test_directions_follow_reads_and_theta():
@@ -185,4 +203,4 @@ def test_directions_follow_reads_and_theta():
     custom = ScoreFn.custom(lambda x, w, eta_hat, eta: w, needs=("eta",))
     assert custom.reads == {"x", "eta"}
     assert np.array_equal(custom.directions(3), np.eye(3))
-    assert ScoreFn.external({(0, 0): 1.0}).fn is None
+    assert ScoreFn.external([0], [0], [1.0]).fn is None
