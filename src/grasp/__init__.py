@@ -24,7 +24,6 @@ from .experiments import (
     ExperimentSpec,
     ResultRow,
     gen_logistic_data,
-    label_uniformity_check,
     make_theta0,
     run_power_table,
     run_size_table,
@@ -63,7 +62,6 @@ from .scores import (
     sigmoid,
 )
 from .solver import (
-    SolverConfig,
     SolverError,
     StatVariant,
     UStatResult,

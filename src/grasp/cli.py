@@ -38,7 +38,7 @@ from .experiments import make_theta0, run_power_table, run_size_table, tau0_mont
 from .inference import ci_lower, perfect_fit_test, evaluate_counts
 from .sampling import FeatureSampler, RngStream, grasp_counts_df, grasp_counts_modelx, grasp_counts_simple
 from .scores import DatasetScoreFn, ProbModel, ScoreFn
-from .solver import SolverConfig, SolverError
+from .solver import SolverError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -117,7 +117,7 @@ def _write_outcomes(args: argparse.Namespace, counts, div) -> int:
     return _write_per_variant(
         args,
         lambda variant: evaluate_counts(
-            variant, counts, args.tau, div, args.alpha, SolverConfig(), seed=args.seed
+            variant, counts, args.tau, div, args.alpha, seed=args.seed
         ).to_json_dict(),
     )
 
@@ -160,7 +160,7 @@ def cmd_ci(args: argparse.Namespace) -> int:
     div = get_divergence(args.divergence)
     counts = _counts_from_args(args, samples, None, None)
     return _write_per_variant(
-        args, lambda variant: asdict(ci_lower(variant, counts, args.alpha, div, SolverConfig()))
+        args, lambda variant: asdict(ci_lower(variant, counts, args.alpha, div))
     )
 
 
@@ -180,6 +180,8 @@ def cmd_tau0(args: argparse.Namespace) -> int:
     div = get_divergence(args.divergence)
     if args.theta0_file is not None:
         theta0 = read_theta(args.theta0_file)
+    elif args.d < 1 or args.sigma <= 0:
+        raise InputError("--d must be >= 1 and --sigma positive")
     else:
         theta0 = make_theta0(args.d, args.sigma, RngStream(args.seed, 0))
     theta1 = theta1_from_rule(theta0, args.theta1_rule, args.theta1_scale)

@@ -200,7 +200,7 @@ def parse_flat_config(text: str) -> dict:
     return out
 
 
-_SPEC_KEYS = {f.name for f in dataclasses.fields(ExperimentSpec)} - {"solver"}
+_SPEC_KEYS = {f.name for f in dataclasses.fields(ExperimentSpec)}
 
 
 def spec_from_config(cfg: dict) -> Tuple[str, ExperimentSpec]:

@@ -14,14 +14,15 @@ which is also what makes power monotone across the grid trial-by-trial.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .divergence import FDivergence, bernoulli_divergence_many, get_divergence
-from .inference import pvalue_asym, threshold
+from .inference import threshold
 from .sampling import (
     BinCounts,
     EvalSample,
@@ -33,7 +34,7 @@ from .sampling import (
     grasp_counts_simple,
 )
 from .scores import ProbModel, ScoreFn, fit_linear_score, sigmoid
-from .solver import SolverConfig, StatVariant, u_stat_exceeds
+from .solver import StatVariant, u_stat_exceeds
 
 __all__ = [
     "ExperimentSpec",
@@ -44,7 +45,6 @@ __all__ = [
     "tau0_monte_carlo",
     "run_size_table",
     "run_power_table",
-    "label_uniformity_check",
 ]
 
 # Desk-scale cap; larger n is allowed only in extended mode.
@@ -78,11 +78,20 @@ class ExperimentSpec:
     variants: Tuple[str, ...] = ("asym", "finite")
     aux_size: int = 4000
     extended: bool = False
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self) -> None:
-        if min(self.n, self.d, self.L, self.K, self.trials) < 1:
-            raise ValueError("n, d, L, K and trials must all be >= 1")
+        for name in ("n", "d", "L", "K", "trials", "seed", "aux_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if min(self.n, self.d, self.L, self.K, self.trials, self.aux_size) < 1:
+            raise ValueError("n, d, L, K, trials and aux_size must all be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
+        if not isinstance(self.extended, bool):
+            raise ValueError("extended must be true or false")
+        if not (self.tau_grid and self.alphas and self.variants):
+            raise ValueError("tau_grid, alphas and variants must be nonempty")
         if not all(math.isfinite(v) for v in (self.sigma_theta, self.theta1_scale, *self.tau_grid)):
             raise ValueError("sigma_theta, theta1_scale and tau values must be finite")
         if self.n > _N_CAP and not self.extended:
@@ -103,6 +112,8 @@ class ExperimentSpec:
                 raise ValueError("tau values must be nonnegative")
         for v in self.variants:
             StatVariant(v)
+        if not isinstance(self.divergence, str):
+            raise ValueError(f"divergence must be a name, got {self.divergence!r}")
         get_divergence(self.divergence)
 
 
@@ -206,7 +217,7 @@ def _trial_counts(
         return grasp_counts_simple(samples, spec.L, rng)
     score = _make_score(spec, theta0, theta1, trial)
     if spec.mode == "df":
-        model, px = None, FeatureSampler.paired_original()
+        model, px = None, None
     else:
         model = ProbModel.logistic_linear(theta1)
         px = FeatureSampler.gaussian_iso(np.zeros(spec.d), 1.0)
@@ -237,7 +248,7 @@ def _decide_trial(
 ) -> List[bool]:
     div = get_divergence(spec.divergence)
     return [
-        u_stat_exceeds(variant, counts, tau, threshold(variant, spec.L, a), div, spec.solver)
+        u_stat_exceeds(variant, counts, tau, threshold(variant, spec.L, a), div)
         for a in alphas
     ]
 
@@ -295,17 +306,15 @@ def run_power_table(spec: ExperimentSpec) -> List[ResultRow]:
     """Rejection rates under a misspecified test model across the tau grid."""
     if spec.theta1_rule == "same":
         raise ValueError("power runs require theta1_rule='negated' or 'negated_scaled'")
-    tau0 = None
+    theta0 = make_theta0(spec.d, spec.sigma_theta, RngStream(spec.seed, 0))
+    tau0, _ = tau0_monte_carlo(
+        theta0,
+        theta1_from_rule(theta0, spec.theta1_rule, spec.theta1_scale),
+        get_divergence(spec.divergence),
+        50_000,
+        RngStream(spec.seed, stream_id=2_000_000_000),
+    )
     for tau in spec.tau_grid:
-        if tau0 is None:
-            theta0 = make_theta0(spec.d, spec.sigma_theta, RngStream(spec.seed, 0))
-            tau0, _ = tau0_monte_carlo(
-                theta0,
-                theta1_from_rule(theta0, spec.theta1_rule, spec.theta1_scale),
-                get_divergence(spec.divergence),
-                50_000,
-                RngStream(spec.seed, stream_id=2_000_000_000),
-            )
         if tau > tau0:
             warnings.warn(
                 f"tau={tau} exceeds the estimated true divergence {tau0:.4f}; power may be trivial",
@@ -313,10 +322,3 @@ def run_power_table(spec: ExperimentSpec) -> List[ResultRow]:
             )
     return _run_table(spec)
 
-
-def label_uniformity_check(counts: BinCounts) -> Tuple[float, float]:
-    """Pearson statistic of the counts against the uniform multinomial and
-    its asymptotic chi-square p-value (rule of thumb n >= 5L)."""
-    expected = counts.n / counts.L
-    stat = float(np.sum((counts.counts - expected) ** 2) / expected)
-    return stat, pvalue_asym(stat, counts.L)

@@ -20,7 +20,7 @@ import numpy as np
 from .divergence import FDivergence, discrete_divergence_to_uniform
 from .sampling import BinCounts, EvalSample, _labels, _w_from_uniform
 from .scores import DatasetScoreFn
-from .solver import SolverConfig, StatVariant, solve_u_stat, u_stat_exceeds
+from .solver import StatVariant, solve_u_stat, u_stat_exceeds
 
 __all__ = [
     "TestOutcome",
@@ -226,7 +226,6 @@ def evaluate_counts(
     tau: float,
     div: FDivergence,
     alpha: float,
-    cfg: Optional[SolverConfig] = None,
     seed: Optional[int] = None,
 ) -> TestOutcome:
     """Solve the test statistic for the counts and package the decision.
@@ -234,13 +233,13 @@ def evaluate_counts(
     The decision follows the solver's certified bounds: reject iff the lower
     bound reaches the threshold, accept iff the reported statistic (an upper
     bound) stays below it.  A threshold inside the final gap is settled by
-    refining the bounds; SolverError if max_iters cannot.
+    refining the bounds; SolverError if the solver's iteration cap cannot.
     """
     variant = StatVariant(variant)
     thr = threshold(variant, counts.L, alpha)
-    result = solve_u_stat(variant, counts, tau, div, cfg)
+    result = solve_u_stat(variant, counts, tau, div)
     if result.decision(thr) is None:
-        result = solve_u_stat(variant, counts, tau, div, cfg, certify_threshold=thr)
+        result = solve_u_stat(variant, counts, tau, div, certify_threshold=thr)
     reject = result.certified(thr)
     return TestOutcome(
         statistic=result.value,
@@ -258,31 +257,29 @@ def evaluate_counts(
     )
 
 
-def ci_lower(
-    variant: StatVariant,
-    counts: BinCounts,
-    alpha: float,
-    div: FDivergence,
-    cfg: Optional[SolverConfig] = None,
-    tol: float = 1e-4,
-) -> ConfidenceBound:
+# Width of the bracket at which ci_lower's bisection stops.
+_CI_TOL = 1e-4
+
+
+def ci_lower(variant: StatVariant, counts: BinCounts, alpha: float, div: FDivergence) -> ConfidenceBound:
     """One-sided lower confidence bound sup{tau >= 0 : U_tau >= threshold}.
 
     U_tau is nonincreasing in tau, so bisection between 0 and the radius at
     which the empirical frequencies become feasible (where U_tau = 0) is
-    valid.  Returns 0 when the rule does not reject even at tau = 0.
+    valid; it stops within _CI_TOL of the crossing, at a certified reject.
+    Returns 0 when the rule does not reject even at tau = 0.
     """
     variant = StatVariant(variant)
     thr = threshold(variant, counts.L, alpha)
-    if not u_stat_exceeds(variant, counts, 0.0, thr, div, cfg):
+    if not u_stat_exceeds(variant, counts, 0.0, thr, div):
         return ConfidenceBound(0.0, alpha, variant.value)
     tau_max = discrete_divergence_to_uniform(div, counts.counts / counts.n)
     lo, hi = 0.0, tau_max
     for _ in range(60):
-        if hi - lo <= tol:
+        if hi - lo <= _CI_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if u_stat_exceeds(variant, counts, mid, thr, div, cfg):
+        if u_stat_exceeds(variant, counts, mid, thr, div):
             lo = mid
         else:
             hi = mid

@@ -86,31 +86,33 @@ class EvalSample:
 
 @dataclass(frozen=True)
 class BinCounts:
-    """Multinomial counts over L rank-bins.
+    """Multinomial counts over L = len(counts) rank-bins, n = sum(counts).
 
     ``K`` is the number of ranks per bin; ``K=None`` marks the simple
     variant (score T(x, w) = w binned directly), which corresponds to the
-    K -> infinity limit and has no counterfeit count M.
+    K -> infinity limit and has no counterfeits.
     """
 
     counts: np.ndarray
-    n: int
-    L: int
     K: Optional[int] = None
-    M: Optional[int] = None
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", counts)
-        if self.L < 1 or counts.shape != (self.L,):
-            raise ValueError("counts must have shape (L,) with L >= 1")
-        if int(counts.sum()) != self.n:
-            raise ValueError(f"counts sum {int(counts.sum())} != n {self.n}")
-        if self.K is not None:
-            if self.K < 1:
-                raise ValueError("K must be >= 1")
-            if self.M != self.K * self.L - 1:
-                raise ValueError("M must equal K*L - 1")
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu":
+            raise ValueError("counts must be a nonempty 1-D integer array")
+        if np.any(counts < 0):
+            raise ValueError("counts must be nonnegative")
+        if self.K is not None and self.K < 1:
+            raise ValueError("K must be >= 1")
+        object.__setattr__(self, "counts", counts.astype(np.int64))
+
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
+
+    @property
+    def L(self) -> int:
+        return self.counts.size
 
 
 @dataclass(frozen=True)
@@ -118,10 +120,7 @@ class FeatureSampler:
     """Distribution of counterfeit feature rows for the model-X variant.
 
     Modes: ``gaussian_iso`` is N(mean, sigma^2 I_d); ``pool`` draws rows
-    with replacement from an unlabeled feature matrix; ``paired`` gives each
-    counterfeit its original sample's own features and eta_hat (a
-    degenerate one-row pool per sample, which reduces model-X to the
-    fixed-feature case).
+    with replacement from an unlabeled feature matrix.
     """
 
     mode: str
@@ -142,17 +141,11 @@ class FeatureSampler:
             raise ValueError("pool must be a nonempty 2-D array")
         return cls(mode="pool", pool=pool)
 
-    @classmethod
-    def paired_original(cls) -> "FeatureSampler":
-        return cls(mode="paired")
-
     @property
     def dim(self) -> int:
         if self.mode == "gaussian_iso":
             return self.mean.shape[0]
-        if self.mode == "pool":
-            return self.pool.shape[1]
-        raise ValueError(f"feature-sampler mode {self.mode!r} has no dimension of its own")
+        return self.pool.shape[1]
 
     def projector(
         self, V: np.ndarray
@@ -168,10 +161,8 @@ class FeatureSampler:
             loc = self.mean @ V
             root = self.sigma * _psd_sqrt(V.T @ V)
             return lambda gen, shape: loc + gen.standard_normal(shape + (V.shape[1],)) @ root
-        if self.mode == "pool":
-            table = self.pool @ V
-            return lambda gen, shape: table[gen.integers(0, table.shape[0], size=shape)]
-        raise ValueError(f"feature-sampler mode {self.mode!r} draws no fresh features")
+        table = self.pool @ V
+        return lambda gen, shape: table[gen.integers(0, table.shape[0], size=shape)]
 
 
 def _psd_sqrt(gram: np.ndarray) -> np.ndarray:
@@ -233,7 +224,7 @@ def grasp_counts_simple(
     w = _w_from_uniform(rng.generator(_COUNTS).uniform(size=len(samples)), y, eta_hat)
     labels = np.clip(np.ceil(w * L), 1, L).astype(np.int64)
     counts = np.bincount(labels - 1, minlength=L)
-    return BinCounts(counts=counts, n=len(samples), L=L, K=None, M=None)
+    return BinCounts(counts)
 
 
 def grasp_counts_df(
@@ -245,14 +236,14 @@ def grasp_counts_df(
 ) -> BinCounts:
     """Bin counts in the fixed-feature setting: the model-X pipeline with
     every counterfeit at its sample's own features and eta_hat."""
-    return grasp_counts_modelx(samples, score, None, FeatureSampler.paired_original(), L, K, rng)
+    return grasp_counts_modelx(samples, score, None, None, L, K, rng)
 
 
 def grasp_counts_modelx(
     samples: Sequence[EvalSample],
     score: ScoreFn,
     model: Optional[ProbModel],
-    px: FeatureSampler,
+    px: Optional[FeatureSampler],
     L: int,
     K: int,
     rng: RngStream,
@@ -261,14 +252,15 @@ def grasp_counts_modelx(
 
     For each sample: draw w and M = K*L - 1 counterfeit pairs
     (x_tilde ~ P_X, w_tilde ~ Unif[0,1]), score all candidates, rank the
-    original and count the bin holding its rank block.  The model under
-    test must be evaluable at counterfeit features whenever the score needs
-    eta_hat there.
+    original and count the bin holding its rank block.  With ``px=None``
+    each counterfeit keeps its own sample's features, eta_hat and eta (the
+    fixed-feature case).  The model under test must be evaluable at fresh
+    counterfeit features whenever the score needs eta_hat there.
     """
     _require_samples(samples)
     if K < 1 or L < 1:
         raise ValueError("K and L must be >= 1")
-    if "eta_hat" in score.reads and model is None and px.mode != "paired":
+    if "eta_hat" in score.reads and model is None and px is not None:
         raise ValueError(f"score {score.kind!r} needs a model to score counterfeit features")
     M = K * L - 1
     n = len(samples)
@@ -278,7 +270,7 @@ def grasp_counts_modelx(
     else:
         ranks = _ranks(samples, score, model, px, M, rng.generator(_COUNTS))
     counts = np.bincount(assign_label(ranks, K, L) - 1, minlength=L)
-    return BinCounts(counts=counts, n=n, L=L, K=K, M=M)
+    return BinCounts(counts, K)
 
 
 def _ranks(samples, score, model, px, M, gen) -> np.ndarray:
@@ -291,8 +283,7 @@ def _ranks(samples, score, model, px, M, gen) -> np.ndarray:
         eta = np.fromiter((s.eta for s in samples), dtype=float, count=n)
     w = _w_from_uniform(gen.uniform(size=n), y, eta_hat)
     w_cf = gen.uniform(size=(n, M))
-    paired = px.mode == "paired"
-    V = score.directions(samples[0].x.size if paired else px.dim)
+    V = score.directions(samples[0].x.size if px is None else px.dim)
     k = V.shape[1]
     xv = np.zeros((n, 0))
     if k:
@@ -303,7 +294,7 @@ def _ranks(samples, score, model, px, M, gen) -> np.ndarray:
             )
         xv = x @ V
     t_orig = score.evaluate(xv, w, eta_hat, eta)
-    block = _paired(xv, eta_hat, eta) if paired else _fresh(score, model, px, V, gen)
+    block = _paired(xv, eta_hat, eta) if px is None else _fresh(score, model, px, V, gen)
     ranks = np.empty(n, dtype=np.int64)
     rows = max(1, _BLOCK // max(1, M * max(k, 1)))
     for lo in range(0, n, rows):

@@ -94,12 +94,6 @@ class ProbModel:
     def logistic_linear(cls, theta: np.ndarray) -> "ProbModel":
         return cls(theta=np.asarray(theta, dtype=float))
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        return sigmoid(x @ self.theta)
-
 
 @dataclass(frozen=True)
 class ScoreFn:

@@ -43,7 +43,6 @@ from .sampling import BinCounts
 
 __all__ = [
     "StatVariant",
-    "SolverConfig",
     "SolverError",
     "UStatResult",
     "objective",
@@ -60,6 +59,8 @@ _MU_STEPS = 200
 _MU_TOL = 1e-13  # on |sum p - 1|
 _LAM_STEP = 4.0  # largest log-lam step while the root is not bracketed
 _EPS = np.finfo(float).eps
+_MAX_ITERS = 500  # ball-multiplier iterates per solve
+_GAP_TOL = 1e-6  # on upper - lower, when no threshold is to be certified
 
 
 class StatVariant(str, Enum):
@@ -72,21 +73,11 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    max_iters: int = 500
-    gap_tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1 or self.gap_tol <= 0:
-            raise ValueError("max_iters >= 1 and a positive gap_tol required")
-
-
-@dataclass(frozen=True)
 class UStatResult:
     """Solve outcome: lower <= U_tau <= value, where value is the objective
     at the feasible point ``minimizer``; gap = value - lower.
 
-    ``converged`` says the solve met its stopping rule: gap <= gap_tol, or,
+    ``converged`` says the solve met its stopping rule: gap <= _GAP_TOL, or,
     with a certify threshold, bounds that decide it.
     """
 
@@ -119,9 +110,7 @@ class UStatResult:
 
 
 def _counts(V) -> Tuple[np.ndarray, int, int]:
-    if isinstance(V, BinCounts):
-        return V.counts.astype(float), V.n, V.L
-    arr = np.asarray(V, dtype=float)
+    arr = np.asarray(V.counts if isinstance(V, BinCounts) else V, dtype=float)
     return arr, int(round(float(arr.sum()))), arr.size
 
 
@@ -331,17 +320,15 @@ def solve_u_stat(
     V,
     tau: float,
     div: FDivergence,
-    cfg: Optional[SolverConfig] = None,
     certify_threshold: Optional[float] = None,
 ) -> UStatResult:
     """Minimize the variant objective over the ball, with certified bounds.
 
-    Iterates on the ball multiplier until upper - lower <= ``cfg.gap_tol``;
+    Iterates on the ball multiplier until upper - lower <= ``_GAP_TOL``;
     with ``certify_threshold`` it stops as soon as the bounds decide
     U_tau >= threshold, and runs past the tolerance until they do.
     ``iterations`` counts ball-multiplier iterates.
     """
-    cfg = cfg or SolverConfig()
     variant = StatVariant(variant)
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -366,7 +353,7 @@ def solve_u_stat(
     t_lo, t_hi = -math.inf, math.inf
     mu = -math.exp(t) * lag.f_kink
     iterations, done = 0, False
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, _MAX_ITERS + 1):
         lam = math.exp(t)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             mu, p = lag.solve_mu(lam, mu)
@@ -382,7 +369,7 @@ def solve_u_stat(
         # the bounds meet at U_tau; rounding must not leave lower above upper
         lower = min(lower, upper)
         if certify_threshold is None:
-            done = upper - lower <= cfg.gap_tol
+            done = upper - lower <= _GAP_TOL
         else:
             done = lower >= certify_threshold or upper < certify_threshold
         if done:
@@ -407,22 +394,15 @@ def solve_u_stat(
     return UStatResult(upper, lower, best, iterations, upper - lower, done)
 
 
-def u_stat(variant: StatVariant, V, tau: float, div: FDivergence, cfg: Optional[SolverConfig] = None) -> float:
+def u_stat(variant: StatVariant, V, tau: float, div: FDivergence) -> float:
     """Minimum of the variant objective over the f-divergence ball."""
-    return solve_u_stat(variant, V, tau, div, cfg).value
+    return solve_u_stat(variant, V, tau, div).value
 
 
-def u_stat_exceeds(
-    variant: StatVariant,
-    V,
-    tau: float,
-    threshold: float,
-    div: FDivergence,
-    cfg: Optional[SolverConfig] = None,
-) -> bool:
+def u_stat_exceeds(variant: StatVariant, V, tau: float, threshold: float, div: FDivergence) -> bool:
     """Whether U_tau(V) >= threshold, as certified by the solver's bounds.
 
-    Raises SolverError when ``cfg.max_iters`` iterates leave the threshold
+    Raises SolverError when ``_MAX_ITERS`` iterates leave the threshold
     between the bounds.
     """
-    return solve_u_stat(variant, V, tau, div, cfg, certify_threshold=threshold).certified(threshold)
+    return solve_u_stat(variant, V, tau, div, certify_threshold=threshold).certified(threshold)

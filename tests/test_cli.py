@@ -340,6 +340,22 @@ def test_cmd_simulate_invalid_spec(tmp_path, capsys):
     )
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "must be finite" in capsys.readouterr().err
+    base = "kind = \"size\"\nn = 50\nd = 2\nL = 4\ntrials = 1\nseed = 0\n"
+    for line in (
+        "n = 2.5", "trials = 1e1", "K = 2.5", "d = true", "seed = -1", "aux_size = 0",
+        "extended = 1", "alphas = []", "variants = []", "tau_grid = []", "divergence = 3",
+    ):
+        cfg.write_text(base + line + "\n")
+        assert main(["simulate", "--config", str(cfg)]) == 2, line
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid experiment config") and "Traceback" not in err, line
+
+
+def test_cmd_tau0_degenerate_flags_exit2(capsys):
+    for flags in (["--d", "0"], ["--sigma", "0"], ["--sigma", "-1"]):
+        assert main(["tau0", "--samples", "100", *flags]) == 2, flags
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --d"), flags
 
 
 def test_cmd_tau0_same_rule_zero(tmp_path, capsys):

@@ -8,12 +8,12 @@ from grasp.divergence import KL, TV
 from grasp.experiments import (
     ExperimentSpec,
     gen_logistic_data,
-    label_uniformity_check,
     make_theta0,
     run_power_table,
     run_size_table,
     tau0_monte_carlo,
 )
+from grasp.inference import evaluate_counts
 from grasp.sampling import BinCounts, RngStream
 from grasp.scores import sigmoid
 
@@ -50,18 +50,23 @@ def test_tau0_symmetric_flip_positive():
     assert est <= 1.0  # TV distance bound
 
 
+def _label_uniformity(counts):
+    """Pearson's statistic against the uniform multinomial and its chi-square
+    p-value: the asym statistic at tau = 0."""
+    outcome = evaluate_counts("asym", counts, 0.0, KL, 0.1)
+    return outcome.statistic, outcome.p_value
+
+
 def test_label_uniformity_examples():
-    exact = BinCounts(counts=np.full(4, 25), n=100, L=4)
-    stat, p = label_uniformity_check(exact)
+    stat, p = _label_uniformity(BinCounts(np.full(4, 25)))
     assert stat == 0.0 and p == pytest.approx(1.0)
-    lopsided = BinCounts(counts=np.array([10, 0]), n=10, L=2)
-    stat, _ = label_uniformity_check(lopsided)
+    stat, _ = _label_uniformity(BinCounts(np.array([10, 0])))
     assert stat == pytest.approx(10.0)
 
 
 def test_label_uniformity_pvalue_keeps_far_tail_precision():
     # 1 - cdf rounds this tail to 0.0
-    stat, p = label_uniformity_check(BinCounts(counts=np.array([300, 0, 0, 0, 0]), n=300, L=5))
+    stat, p = _label_uniformity(BinCounts(np.array([300, 0, 0, 0, 0])))
     assert stat == pytest.approx(1200.0)
     assert p == pytest.approx(scipy.stats.chi2.sf(1200.0, 4), rel=1e-6)
     assert p > 0.0
@@ -73,8 +78,8 @@ def test_label_uniformity_pvalues_uniform_under_null():
     n, L, trials = 50_000, 50, 200
     ps = []
     for _ in range(trials):
-        counts = BinCounts(counts=gen.multinomial(n, np.full(L, 1.0 / L)), n=n, L=L)
-        ps.append(label_uniformity_check(counts)[1])
+        counts = BinCounts(gen.multinomial(n, np.full(L, 1.0 / L)))
+        ps.append(_label_uniformity(counts)[1])
     ps = np.sort(ps)
     grid = np.arange(1, trials + 1) / trials
     ks = max(

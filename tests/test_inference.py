@@ -151,20 +151,20 @@ def test_outcome_invariant_enforced():
 
 
 def test_ci_lower_uniform_counts_is_zero():
-    counts = BinCounts(counts=np.full(10, 20), n=200, L=10)
+    counts = BinCounts(np.full(10, 20))
     for variant in ("asym", "finite"):
         bound = ci_lower(variant, counts, 0.1, KL)
         assert bound.tau_lower == 0.0
 
 
 def test_ci_lower_positive_when_rejecting():
-    counts = BinCounts(counts=np.array([150, 20, 10, 10, 10]), n=200, L=5)
+    counts = BinCounts(np.array([150, 20, 10, 10, 10]))
     bound = ci_lower("asym", counts, 0.1, KL)
     assert bound.tau_lower > 0.01
 
 
 def test_ci_lower_monotone_in_alpha():
-    counts = BinCounts(counts=np.array([150, 20, 10, 10, 10]), n=200, L=5)
+    counts = BinCounts(np.array([150, 20, 10, 10, 10]))
     for variant in ("asym", "finite"):
         lo_strict = ci_lower(variant, counts, 0.05, KL).tau_lower
         lo_loose = ci_lower(variant, counts, 0.2, KL).tau_lower
@@ -172,7 +172,7 @@ def test_ci_lower_monotone_in_alpha():
 
 
 def test_ci_lower_bound_below_empirical_radius():
-    counts = BinCounts(counts=np.array([150, 20, 10, 10, 10]), n=200, L=5)
+    counts = BinCounts(np.array([150, 20, 10, 10, 10]))
     from grasp.divergence import discrete_divergence_to_uniform
 
     for div in (KL, TV):

@@ -101,14 +101,16 @@ def test_rank_range_invariant():
 
 
 def test_bincounts_validation():
+    for bad in ([[1, 2]], [], [1.0, 2.0], [1, -2]):
+        with pytest.raises(ValueError):
+            BinCounts(np.array(bad))
     with pytest.raises(ValueError):
-        BinCounts(counts=np.array([1, 2]), n=4, L=2, K=1, M=1)
-    with pytest.raises(ValueError):
-        BinCounts(counts=np.array([1, 2]), n=3, L=2, K=2, M=1)
-    ok = BinCounts(counts=np.array([1, 2]), n=3, L=2, K=2, M=3)
-    assert ok.M == 3
-    simple = BinCounts(counts=np.array([1, 2]), n=3, L=2)
-    assert simple.K is None and simple.M is None
+        BinCounts(np.array([1, 2]), K=0)
+    ok = BinCounts(np.array([1, 2]), K=2)
+    assert (ok.n, ok.L, ok.K) == (3, 2, 2)
+    simple = BinCounts([4, 0, 1])
+    assert (simple.n, simple.L, simple.K) == (5, 3, None)
+    assert simple.counts.dtype == np.int64
 
 
 def test_counts_sum_and_determinism_df():
@@ -121,7 +123,7 @@ def test_counts_sum_and_determinism_df():
     assert c1.n == c3.n == 7
     # K = L = 1 leaves no counterfeits: every sample has rank 1
     c4 = grasp_counts_df(samples, ScoreFn.agnostic(), L=1, K=1, rng=RngStream(6))
-    assert c4.M == 0 and c4.counts.tolist() == [7]
+    assert c4.L == 1 and c4.counts.tolist() == [7]
 
 
 def test_simple_binning_convention():
@@ -166,20 +168,18 @@ def test_modelx_counts_sum_and_boundary_score():
         samples, ScoreFn.agnostic(), model, px, L=5, K=2, rng=RngStream(3)
     )
     assert int(counts.counts.sum()) == 50
-    assert counts.M == 9
+    assert (counts.n, counts.L, counts.K) == (50, 5, 2)
     single = grasp_counts_modelx(samples, ScoreFn.agnostic(), model, px, L=1, K=1, rng=RngStream(3))
     assert single.counts.tolist() == [50]
 
 
 def test_modelx_reduces_to_df_with_paired_features():
-    # degenerate per-sample pool: identity score gives matched-seed equality
+    # px=None keeps each counterfeit at its own sample's features and eta_hat
     samples = _null_samples(400, seed=6)
-    px = FeatureSampler.paired_original()
-    cx = grasp_counts_modelx(
-        samples, ScoreFn.identity(), None, px, L=10, K=2, rng=RngStream(8)
-    )
-    cdf = grasp_counts_df(samples, ScoreFn.identity(), L=10, K=2, rng=RngStream(8))
-    assert np.array_equal(cx.counts, cdf.counts)
+    for score in (ScoreFn.identity(), ScoreFn.agnostic()):
+        cx = grasp_counts_modelx(samples, score, None, None, L=10, K=2, rng=RngStream(8))
+        cdf = grasp_counts_df(samples, score, L=10, K=2, rng=RngStream(8))
+        assert np.array_equal(cx.counts, cdf.counts)
 
 
 def test_modelx_needs_model_for_agnostic():
@@ -299,7 +299,7 @@ def test_counts_do_not_depend_on_the_block_size(monkeypatch):
         (ScoreFn.agnostic(), FeatureSampler.gaussian_iso(np.zeros(2), 1.0)),
         (ScoreFn.agnostic(), FeatureSampler.empirical_pool(pool)),
         (residual, FeatureSampler.gaussian_iso(np.zeros(2), 1.0)),
-        (residual, FeatureSampler.paired_original()),
+        (residual, None),
     ]
     before = [grasp_counts_modelx(samples, s, model, px, 4, 2, RngStream(50)) for s, px in cases]
     monkeypatch.setattr(sampling, "_BLOCK", 7 * 7)  # 7 rows of 7 counterfeits a block

